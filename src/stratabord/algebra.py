@@ -1,18 +1,21 @@
 """Exact chain-complex linear algebra.
 
 Boundary matrices, sparse integer Smith normal form with transformation
-certificates, ranks over ℚ and prime fields, and simplicial homology with
-torsion.  All arithmetic is exact (Python integers).
+certificates, ranks over ℤ, ℚ and prime fields, kernels, exact solves and
+simplicial homology with torsion.  All arithmetic is exact (Python integers).
 
-Invariant factors (and with them homology over ℤ and ranks over ℚ) come from
-unit-pivot elimination followed by Smith form on the non-unit residual only.
-Certificates (U, V) are produced only by `smith_normal_form`, which runs the
-full tracked Smith form and checks U·M·V = diag(d).
+One elimination kernel, `_eliminate`, serves every ring: it walks the
+columns, eliminates unit pivots (±1 over ℤ, any nonzero entry mod p) and,
+over ℤ, hands the non-unit residual to a small Smith form that records pivot
+positions instead of swapping (the reduce-then-Smith scheme of Dumas,
+Heckenbach, Saunders and Welker).  Ranks over ℚ are ranks over ℤ.  With
+tracking on, it also keeps the certificates U (by rows) and V (by columns)
+used by `smith_normal_form`, which checks U·M·V = diag(d), `kernel_basis`
+and `solve_exact`.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -89,392 +92,201 @@ class SparseMatrix:
         }
         return SparseMatrix(self.nrows, other.ncols, entries)
 
-    def column(self, c: int) -> Dict[int, int]:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
 
 def identity_matrix(n: int) -> SparseMatrix:
     return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
 
 
-class _Elim:
-    """Mutable sparse integer elimination workspace with optional certificates."""
-
-    def __init__(self, M: SparseMatrix, track: bool):
-        self.nrows, self.ncols = M.nrows, M.ncols
-        self.rows: Dict[int, Dict[int, int]] = {}
-        self.cols: Dict[int, set] = {}
-        for (r, c), v in M.entries.items():
-            self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, set()).add(r)
-        self.nnz = len(M.entries)
-        self.unit_heap: List[Tuple[int, int, int]] = []
-        for (r, c), v in M.entries.items():
-            if v == 1 or v == -1:
-                self._push_unit(r, c)
-        self.track = track
-        if track:
-            # U acts on rows (U·M), V on columns (M·V), kept as sparse rows.
-            self.U = {r: {r: 1} for r in range(self.nrows)}
-            self.V = {c: {c: 1} for c in range(self.ncols)}
-
-    def entry(self, r, c):
-        return self.rows.get(r, {}).get(c, 0)
-
-    def _set(self, r, c, v):
-        row = self.rows.setdefault(r, {})
-        if v == 0:
-            if c in row:
-                del row[c]
-                self.cols[c].discard(r)
-                self.nnz -= 1
-                if not row:
-                    del self.rows[r]
+def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int) -> None:
+    """dst −= q·src for sparse vectors kept as dicts."""
+    for k, w in src.items():
+        nv = dst.get(k, 0) - q * w
+        if nv:
+            dst[k] = nv
         else:
+            del dst[k]
+
+
+def _row_sub(rows, cols, r: int, src: Dict[int, int], q: int, p: Optional[int] = None):
+    """rows[r] −= q·src (mod p), keeping the column index cols in step."""
+    row = rows[r]
+    for c, w in src.items():
+        nv = row.get(c, 0) - q * w
+        if p:
+            nv %= p
+        if nv:
             if c not in row:
-                self.nnz += 1
-            row[c] = v
-            self.cols.setdefault(c, set()).add(r)
-            if v == 1 or v == -1:
-                self._push_unit(r, c)
-
-    def row_op(self, target, source, coeff):
-        """row[target] += coeff * row[source]"""
-        for c, v in list(self.rows.get(source, {}).items()):
-            self._set(target, c, self.entry(target, c) + coeff * v)
-        if self.track:
-            urow = self.U.setdefault(target, {})
-            for c, v in self.U.get(source, {}).items():
-                nv = urow.get(c, 0) + coeff * v
-                if nv == 0:
-                    urow.pop(c, None)
-                else:
-                    urow[c] = nv
-
-    def col_op(self, target, source, coeff):
-        """col[target] += coeff * col[source]"""
-        for r in list(self.cols.get(source, set())):
-            self._set(r, target, self.entry(r, target) + coeff * self.entry(r, source))
-        if self.track:
-            # V columns: V[:, target] += coeff * V[:, source]; stored row-wise.
-            for vr, vrow in self.V.items():
-                if source in vrow:
-                    nv = vrow.get(target, 0) + coeff * vrow[source]
-                    if nv == 0:
-                        vrow.pop(target, None)
-                    else:
-                        vrow[target] = nv
-
-    def swap_rows(self, a, b):
-        if a == b:
-            return
-        ra, rb = self.rows.get(a, {}), self.rows.get(b, {})
-        for c in set(ra) | set(rb):
-            self.cols[c].discard(a)
-            self.cols[c].discard(b)
-        if ra:
-            self.rows[b] = ra
+                cols[c].add(r)
+            row[c] = nv
         else:
-            self.rows.pop(b, None)
-        if rb:
-            self.rows[a] = rb
-        else:
-            self.rows.pop(a, None)
-        for c, v in self.rows.get(a, {}).items():
-            self.cols[c].add(a)
-            if v == 1 or v == -1:
-                self._push_unit(a, c)
-        for c, v in self.rows.get(b, {}).items():
-            self.cols[c].add(b)
-            if v == 1 or v == -1:
-                self._push_unit(b, c)
-        if self.track:
-            ua, ub = self.U.get(a, {}), self.U.get(b, {})
-            self.U[a], self.U[b] = ub, ua
-
-    def swap_cols(self, a, b):
-        if a == b:
-            return
-        for r in self.cols.get(a, set()) | self.cols.get(b, set()):
-            row = self.rows[r]
-            va, vb = row.get(a, 0), row.get(b, 0)
-            self._set(r, a, vb)
-            self._set(r, b, va)
-        if self.track:
-            for vr, vrow in self.V.items():
-                va, vb = vrow.pop(a, None), vrow.pop(b, None)
-                if vb is not None:
-                    vrow[a] = vb
-                if va is not None:
-                    vrow[b] = va
-
-    def negate_row(self, r):
-        for c in list(self.rows.get(r, {})):
-            self.rows[r][c] = -self.rows[r][c]
-        if self.track:
-            for c in list(self.U.get(r, {})):
-                self.U[r][c] = -self.U[r][c]
-
-    def _push_unit(self, r, c):
-        row = self.rows.get(r)
-        if row is None:
-            return
-        heap = self.unit_heap
-        if len(heap) > 64 and len(heap) > 8 * self.nnz:
-            # Compact away stale positions accumulated by row/column ops.
-            fresh = [
-                (len(rw) + len(self.cols[cc]), rr, cc)
-                for rr, rw in self.rows.items()
-                for cc, vv in rw.items()
-                if vv == 1 or vv == -1
-            ]
-            heapq.heapify(fresh)
-            self.unit_heap = heap = fresh
-        fill = len(row) + len(self.cols.get(c, ()))
-        heapq.heappush(heap, (fill, r, c))
-
-    def find_pivot(self, start):
-        """A pivot position at or beyond start, preferring unit entries.
-
-        Unit entries never force divisibility repairs, so they are drawn
-        first from a lazily-maintained min-fill heap (stale positions are
-        re-checked on pop); only when none remain does a full Markowitz scan
-        over the residual block run.
-        """
-        heap = self.unit_heap
-        while heap:
-            _fill, r, c = heapq.heappop(heap)
-            if r < start or c < start:
-                continue
-            v = self.rows.get(r, {}).get(c, 0)
-            if v == 1 or v == -1:
-                return r, c
-        best = None
-        for r, row in self.rows.items():
-            if r < start:
-                continue
-            rl = len(row)
-            for c, v in row.items():
-                if c < start:
-                    continue
-                if v == 1 or v == -1:
-                    self._push_unit(r, c)
-                    continue
-                key = (abs(v), rl + len(self.cols[c]))
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if heap:
-            _fill, r, c = heapq.heappop(heap)
-            return r, c
-        if best is None:
-            return None
-        return best[1], best[2]
+            del row[c]
+            cols[c].discard(r)
+    if not row:
+        del rows[r]
 
 
-def _smith(M: SparseMatrix, track: bool):
-    e = _Elim(M, track)
-    n = min(M.nrows, M.ncols)
-    diag: List[int] = []
-    k = 0
-    while k < n:
-        pos = e.find_pivot(k)
-        if pos is None:
-            break
-        r0, c0 = pos
-        e.swap_rows(k, r0)
-        e.swap_cols(k, c0)
+def _eliminate(M: SparseMatrix, p: Optional[int] = None, track: bool = False):
+    """The elimination kernel over ℤ (p None) or 𝔽ₚ: returns (diag, U, V).
+
+    Walking the columns in order, a unit entry of the column (±1 over ℤ, any
+    nonzero entry mod p) in the shortest row becomes a pivot: row operations
+    clear the rest of its column, and its row and column are dropped.  Each
+    such step is unimodular and contributes a factor 1.  Over ℤ the non-unit
+    residual goes to `_smith_residual`; mod p nothing is left, and only
+    len(diag), the rank, is meaningful.
+
+    With track, U is kept by rows and V by columns.  A pivot's column holds
+    only the pivot once it is cleared, so the column operations that clear
+    its row change V alone, one V column each.  Pivots are recorded, not
+    swapped: U and V list the pivot rows and columns first, so that
+    U·M·V = diag(d).
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    cols: Dict[int, set] = {}
+    for (r, c), v in M.entries.items():
+        if p:
+            v %= p
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+    U = {r: {r: 1} for r in range(M.nrows)} if track else None
+    V = {c: {c: 1} for c in range(M.ncols)} if track else None
+    pivots: List[Tuple[int, int, int]] = []
+    for c in range(M.ncols):
+        col = cols.get(c)
+        if not col:
+            continue
+        units = [r for r in col if p or rows[r][c] in (1, -1)]
+        if not units:
+            continue
+        pivot = min(units, key=lambda r: (len(rows[r]), r))
+        prow = rows.pop(pivot)
+        v = prow.pop(c)
+        inv = pow(v, -1, p) if p else v
+        for r in col:
+            if r != pivot:
+                q = rows[r].pop(c) * inv
+                _row_sub(rows, cols, r, prow, q, p)
+                if track:
+                    _axpy(U[r], U[pivot], q)
+        if track:
+            for cc, w in prow.items():
+                _axpy(V[cc], V[c], w * inv)
+        for cc in prow:
+            cols[cc].discard(pivot)
+        del cols[c]
+        pivots.append((pivot, c, v))
+    if rows:
+        pivots += _smith_residual(rows, cols, U, V)
+    diag = [abs(v) for _r, _c, v in pivots]
+    if not track:
+        return diag, None, None
+    sign = {r: 1 if v > 0 else -1 for r, _c, v in pivots}
+    order_r = [r for r, _c, _v in pivots]
+    order_r += sorted(set(range(M.nrows)) - set(order_r))
+    order_c = [c for _r, c, _v in pivots]
+    order_c += sorted(set(range(M.ncols)) - set(order_c))
+    Um = SparseMatrix(
+        M.nrows,
+        M.nrows,
+        {(i, j): sign.get(r, 1) * w for i, r in enumerate(order_r) for j, w in U[r].items()},
+    )
+    Vm = SparseMatrix(
+        M.ncols,
+        M.ncols,
+        {(j, i): w for i, c in enumerate(order_c) for j, w in V[c].items()},
+    )
+    return diag, Um, Vm
+
+
+def _smith_residual(rows, cols, U=None, V=None) -> List[Tuple[int, int, int]]:
+    """Smith form, in place, of the non-unit block left by `_eliminate`.
+
+    Returns the pivots (row, column, value).  The pivot starts at an entry
+    of least absolute value and moves to any smaller remainder left while
+    its column (by row operations) or its row (by column operations) is
+    cleared.  An entry of the block it does not divide is then added into
+    its row.  So each pivot divides what is left and the values form a
+    divisibility chain.
+    """
+    out = []
+    while rows:
+        r, c = min(
+            ((r, c) for r, row in rows.items() for c in row),
+            key=lambda rc: (abs(rows[rc[0]][rc[1]]), rc),
+        )
         while True:
-            if e.entry(k, k) < 0:
-                e.negate_row(k)
-            v = e.entry(k, k)
-            # Reduce the pivot column.
-            moved = False
-            for r in sorted(e.cols.get(k, set())):
-                if r == k:
-                    continue
-                q = e.entry(r, k) // v
+            v = rows[r][c]
+            # Clear column c by row operations, then row r by column
+            # operations; a remainder smaller than v becomes the pivot.
+            for r2 in sorted(cols[c] - {r}):
+                q = rows[r2][c] // v
                 if q:
-                    e.row_op(r, k, -q)
-                if e.entry(r, k) != 0:
-                    e.swap_rows(k, r)
-                    moved = True
+                    _row_sub(rows, cols, r2, rows[r], q)
+                    if U is not None:
+                        _axpy(U[r2], U[r], q)
+                if c in rows.get(r2, ()):
+                    r = r2
                     break
-            if moved:
-                continue
-            # Reduce the pivot row.
-            moved = False
-            for c in sorted(e.rows.get(k, {})):
-                if c == k:
-                    continue
-                q = e.entry(k, c) // v
-                if q:
-                    e.col_op(c, k, -q)
-                if e.entry(k, c) != 0:
-                    e.swap_cols(k, c)
-                    moved = True
-                    break
-            if moved:
-                continue
-            # Enforce divisibility of the remaining block by the pivot
-            # (automatic for unit pivots).
-            if v == 1:
-                break
-            bad = None
-            for r, row in e.rows.items():
-                if r <= k:
-                    continue
-                for c, w in row.items():
-                    if c > k and w % v != 0:
-                        bad = r
+            else:
+                for c2 in sorted(set(rows[r]) - {c}):
+                    q = rows[r][c2] // v
+                    if q:
+                        # Column c holds only the pivot, so col c2 −= q·col c
+                        # changes row r alone.
+                        _row_sub(rows, cols, r, {c2: v}, q)
+                        if V is not None:
+                            _axpy(V[c2], V[c], q)
+                    if c2 in rows[r]:
+                        c = c2
                         break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            e.row_op(k, bad, 1)
-        diag.append(e.entry(k, k))
-        k += 1
-    if track:
-        U = SparseMatrix(
-            M.nrows,
-            M.nrows,
-            {(r, c): v for r, row in e.U.items() for c, v in row.items()},
-        )
-        V = SparseMatrix(
-            M.ncols,
-            M.ncols,
-            {(r, c): v for r, row in e.V.items() for c, v in row.items()},
-        )
-        return diag, U, V
-    return diag, None, None
+                else:
+                    bad = next(
+                        (r2 for r2, row in rows.items() if any(w % v for w in row.values())),
+                        None,
+                    )
+                    if bad is None:
+                        break
+                    _row_sub(rows, cols, r, rows[bad], -1)
+                    if U is not None:
+                        _axpy(U[r], U[bad], -1)
+        out.append((r, c, v))
+        del rows[r]
+        del cols[c]
+    return out
 
 
 def smith_normal_form(M: SparseMatrix):
     """Invariant factors d₁|d₂|… plus certificates (U, V) with U·M·V = diag(d)."""
-    diag, U, V = _smith(M, track=True)
+    diag, U, V = _eliminate(M, track=True)
     D = U.times(M).times(V)
-    expect = {(i, i): d for i, d in enumerate(diag) if d != 0}
+    expect = {(i, i): d for i, d in enumerate(diag)}
     if D.entries != expect:
         raise AssertionError("Smith normal form certificate failed to verify")
     return diag, U, V
 
 
 def invariant_factors(M: SparseMatrix) -> List[int]:
-    """Nonzero invariant factors d₁|d₂|… of M, without certificates.
-
-    Boundary matrices are mostly eliminated by ±1 pivots, so those go first:
-    walking the columns in order, a ±1 entry (from the shortest row) clears
-    its column by integer row operations, and its row and column are dropped.
-    Each such step is unimodular and contributes one factor 1.  Only the
-    non-unit residual is handed to the Smith form, so the result equals
-    ``_smith(M, track=False)[0]`` by uniqueness of invariant factors.
-    """
-    rows: Dict[int, Dict[int, int]] = {}
-    cols: Dict[int, set] = {}
-    for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    ones = 0
-    for c in range(M.ncols):
-        col = cols.get(c)
-        if not col:
-            continue
-        units = [r for r in col if rows[r][c] in (1, -1)]
-        if not units:
-            continue
-        pivot = min(units, key=lambda r: (len(rows[r]), r))
-        prow = rows.pop(pivot)
-        sign = prow.pop(c)
-        for r in col:
-            if r == pivot:
-                continue
-            row = rows[r]
-            q = row.pop(c) * sign
-            for cc, v in prow.items():
-                nv = row.get(cc, 0) - q * v
-                if nv:
-                    if cc not in row:
-                        cols[cc].add(r)
-                    row[cc] = nv
-                else:
-                    del row[cc]
-                    cols[cc].discard(r)
-            if not row:
-                del rows[r]
-        for cc in prow:
-            cols[cc].discard(pivot)
-        del cols[c]
-        ones += 1
-    if not rows:
-        return [1] * ones
-    row_index = {r: i for i, r in enumerate(sorted(rows))}
-    col_index = {c: j for j, c in enumerate(sorted(c for c, rs in cols.items() if rs))}
-    residual = SparseMatrix(
-        len(row_index),
-        len(col_index),
-        {
-            (row_index[r], col_index[c]): v
-            for r, row in rows.items()
-            for c, v in row.items()
-        },
-    )
-    return [1] * ones + _smith(residual, track=False)[0]
+    """Nonzero invariant factors d₁|d₂|… of M, without certificates."""
+    return _eliminate(M)[0]
 
 
 def rank_over(M: SparseMatrix, ring: Ring) -> int:
-    if ring.kind in ("Z", "Q"):
-        return len([d for d in invariant_factors(M) if d != 0])
-    return _rank_mod_p(M, ring.p)
-
-
-def _rank_mod_p(M: SparseMatrix, p: int) -> int:
-    rows: Dict[int, Dict[int, int]] = {}
-    for (r, c), v in M.entries.items():
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-    rank = 0
-    while rows:
-        # Pick a sparse pivot row.
-        r0 = min(rows, key=lambda r: (len(rows[r]), r))
-        row0 = rows.pop(r0)
-        c0 = min(row0)
-        inv = pow(row0[c0], p - 2, p)
-        row0 = {c: (v * inv) % p for c, v in row0.items()}
-        rank += 1
-        dead = []
-        for r, row in rows.items():
-            w = row.get(c0)
-            if w:
-                for c, v in row0.items():
-                    nv = (row.get(c, 0) - w * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-                if not row:
-                    dead.append(r)
-        for r in dead:
-            del rows[r]
-    return rank
+    return len(_eliminate(M, ring.p)[0])
 
 
 def kernel_basis(M: SparseMatrix) -> SparseMatrix:
     """Basis (as columns) of the integer kernel of M; saturated by construction."""
-    diag, U, V = _smith(M, track=True)
-    r = len([d for d in diag if d != 0])
-    cols = list(range(r, M.ncols))
-    entries = {}
-    for (row, col), v in V.entries.items():
-        if col in cols:
-            entries[(row, col - r)] = v
-    return SparseMatrix(M.ncols, len(cols), entries)
+    diag, U, V = _eliminate(M, track=True)
+    r = len(diag)
+    entries = {(row, col - r): v for (row, col), v in V.entries.items() if col >= r}
+    return SparseMatrix(M.ncols, M.ncols - r, entries)
 
 
 def solve_exact(K: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """Solve K·X = B over ℤ where K has full column rank; raises if unsolvable."""
-    diag, U, V = _smith(K, track=True)
-    r = len([d for d in diag if d != 0])
+    diag, U, V = _eliminate(K, track=True)
+    r = len(diag)
     if r != K.ncols:
         raise ValueError("matrix does not have full column rank")
     UB = U.times(B)

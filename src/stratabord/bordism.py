@@ -33,6 +33,7 @@ from .complexes import (
     ridges_with_facets,
     suspension,
     suspension_poles,
+    verify_orientation,
 )
 from .errors import (
     CollarMissing,
@@ -546,8 +547,7 @@ def glue(
     oy = None
     if Y1.Y.orientation is not None and Y2.Y.orientation is not None:
         signs = dict(Y1.Y.orientation.signs)
-        for f, s in Y2.Y.orientation.signs.items():
-            signs[map2(f)] = s
+        signs.update(Y2.Y.orientation.relabel(relabel).signs)
         oy = OrientationAssignment(signs)
         # Seam coherence: induced orientations from the two sides must cancel.
         rwf = ridges_with_facets(Gc)
@@ -660,14 +660,7 @@ def restratify_bordism(
             faces = F.skeleton(j).faces
             if faces:
                 sk[j] = [tuple(sorted(vm[v] for v in f)) for f in faces]
-        oa = None
-        if F.orientation is not None:
-            oa = OrientationAssignment(
-                {
-                    tuple(sorted(vm[v] for v in f)): s
-                    for f, s in F.orientation.signs.items()
-                }
-            )
+        oa = None if F.orientation is None else F.orientation.relabel(vm)
         return make_filtered(K2, sk, None, oa, F.classical, F.heuristic)
 
     Xp = cert.piece("plus")
@@ -701,7 +694,8 @@ class CertificateReport:
 
 def verify_certificate(cert: BordismCertificate) -> CertificateReport:
     """Re-verify a certificate from scratch: carrier validation, piece
-    coverage, induced filtrations, collars, and orientation signs."""
+    coverage, induced filtrations, collars, and orientation signs (a
+    coherent carrier orientation inducing each piece's signs)."""
     checks: Dict[str, bool] = {}
     rep = validate_stratified_pseudomanifold(cert.Y, "with-boundary")
     checks["carrier_validates"] = rep.passed
@@ -733,7 +727,7 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
     )
     if cert.Y.orientation is not None:
         bo = boundary_orientation(Yc, cert.Y.orientation)
-        ok_sign = True
+        ok_sign = verify_orientation(Yc, cert.Y.orientation)
         for p in cert.pieces:
             if p.space.orientation is None:
                 continue

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-import time
 from typing import Any, Dict, Optional, Tuple
 
 from . import algebra, bordism, catalog, classes, ih, jsonio

@@ -327,6 +327,19 @@ class OrientationAssignment:
     def restrict(self, facets: Iterable[Simplex]) -> "OrientationAssignment":
         return OrientationAssignment({f: self.signs[f] for f in facets})
 
+    def relabel(self, vmap: Dict[int, int]) -> "OrientationAssignment":
+        """Signs carried through the injective vertex map vmap.
+
+        A sign is relative to the sorted vertex order, so a facet whose image
+        needs an odd permutation to sort flips its sign.
+        """
+        signs = {}
+        for f, s in self.signs.items():
+            img = [vmap[v] for v in f]
+            odd = sum(a > b for a, b in itertools.combinations(img, 2)) % 2
+            signs[simplex(img)] = -s if odd else s
+        return OrientationAssignment(signs)
+
 
 def verify_orientation(
     K: SimplicialComplex,

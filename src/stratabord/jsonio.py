@@ -4,12 +4,15 @@ Every emitted document re-parses to an equal value.  Vertices must be
 integers; simplices serialize as sorted integer lists, complexes as facet
 lists, filtrations as facet lists per skeleton.  `dumps` is canonical
 (sorted keys, fixed separators), so equal values serialize byte-identically.
+Reading is strict: invalid JSON, a top level that is not an object, a missing
+field, a vertex that is not an integer, a simplex that repeats a vertex and an
+orientation sign other than ±1 raise MalformedFiltration.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .complexes import (
     EMPTY,
@@ -31,10 +34,35 @@ def _simplex_list(K: SimplicialComplex) -> List[List[int]]:
     return [list(f) for f in sorted(K.facets)]
 
 
-def _complex_from_facets(facets: List[List[int]]) -> SimplicialComplex:
-    if not facets:
-        return EMPTY
-    return build_complex([tuple(f) for f in facets])
+def _field(doc: Dict[str, Any], key: str) -> Any:
+    if not isinstance(doc, dict) or key not in doc:
+        raise MalformedFiltration(f"document has no {key!r} field")
+    return doc[key]
+
+
+def _check_type(doc: Any, kind: str) -> None:
+    if not isinstance(doc, dict) or doc.get("type") != kind:
+        raise MalformedFiltration(f"expected a {kind!r} document")
+
+
+def _simplex_from_json(f: Any) -> Tuple[int, ...]:
+    # bool is a subclass of int, but true and false are not vertices.
+    if not isinstance(f, list) or any(type(v) is not int for v in f):
+        raise MalformedFiltration(f"a simplex must be a list of integers, not {f!r}")
+    if len(set(f)) != len(f):
+        raise MalformedFiltration(f"simplex {f} repeats a vertex")
+    return tuple(f)
+
+
+def _simplices(doc: Any) -> List[Tuple[int, ...]]:
+    if not isinstance(doc, list):
+        raise MalformedFiltration(f"expected a list of simplices, not {doc!r}")
+    return [_simplex_from_json(f) for f in doc]
+
+
+def _complex_from_facets(facets: Any) -> SimplicialComplex:
+    facets = _simplices(facets)
+    return build_complex(facets) if facets else EMPTY
 
 
 def complex_to_json(K: SimplicialComplex) -> Dict[str, Any]:
@@ -42,9 +70,8 @@ def complex_to_json(K: SimplicialComplex) -> Dict[str, Any]:
 
 
 def complex_from_json(doc: Dict[str, Any]) -> SimplicialComplex:
-    if doc.get("type") != "complex":
-        raise MalformedFiltration("expected a 'complex' document")
-    return _complex_from_facets(doc["facets"])
+    _check_type(doc, "complex")
+    return _complex_from_facets(_field(doc, "facets"))
 
 
 def _orientation_to_json(oa: Optional[OrientationAssignment]):
@@ -56,7 +83,14 @@ def _orientation_to_json(oa: Optional[OrientationAssignment]):
 def _orientation_from_json(doc) -> Optional[OrientationAssignment]:
     if doc is None:
         return None
-    return OrientationAssignment({tuple(f): s for f, s in doc})
+    if not isinstance(doc, list) or any(
+        not isinstance(e, list) or len(e) != 2 for e in doc
+    ):
+        raise MalformedFiltration("an orientation must be a list of [simplex, sign] pairs")
+    signs = {_simplex_from_json(f): s for f, s in doc}
+    if any(type(s) is not int or s not in (1, -1) for s in signs.values()):
+        raise MalformedFiltration("orientation signs must be +1 or -1")
+    return OrientationAssignment(signs)
 
 
 def filtration_to_json(FX: FilteredComplex) -> Dict[str, Any]:
@@ -73,12 +107,11 @@ def filtration_to_json(FX: FilteredComplex) -> Dict[str, Any]:
 
 
 def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
-    if doc.get("type") != "filtered_complex":
-        raise MalformedFiltration("expected a 'filtered_complex' document")
-    K = _complex_from_facets(doc["facets"])
+    _check_type(doc, "filtered_complex")
+    K = _complex_from_facets(_field(doc, "facets"))
     skeleta = tuple(_complex_from_facets(sk) for sk in doc.get("skeleta", []))
     boundary = doc.get("boundary")
-    B = None if boundary is None else K.subcomplex([tuple(f) for f in boundary])
+    B = None if boundary is None else K.subcomplex(_simplices(boundary))
     return FilteredComplex(
         K,
         skeleta,
@@ -111,23 +144,24 @@ def certificate_to_json(cert: BordismCertificate) -> Dict[str, Any]:
 
 
 def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
-    if doc.get("type") != "bordism_certificate":
-        raise MalformedFiltration("expected a 'bordism_certificate' document")
+    _check_type(doc, "bordism_certificate")
     pieces = tuple(
         BoundaryPiece(
-            p["label"],
-            filtration_from_json(p["space"]),
-            LabeledIsomorphism({a: b for a, b in p["iso"]}),
-            p["sign"],
+            _field(p, "label"),
+            filtration_from_json(_field(p, "space")),
+            LabeledIsomorphism({a: b for a, b in _field(p, "iso")}),
+            _field(p, "sign"),
         )
-        for p in doc["pieces"]
+        for p in _field(doc, "pieces")
     )
     collars = {
-        label: CollarCertificate(c["kind"], tuple(tuple(pair) for pair in c["data"]))
-        for label, c in doc["collars"].items()
+        label: CollarCertificate(
+            _field(c, "kind"), tuple(tuple(pair) for pair in _field(c, "data"))
+        )
+        for label, c in _field(doc, "collars").items()
     }
     return BordismCertificate(
-        filtration_from_json(doc["carrier"]), pieces, collars, doc["provenance"]
+        filtration_from_json(_field(doc, "carrier")), pieces, collars, _field(doc, "provenance")
     )
 
 
@@ -136,8 +170,15 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def loads(text: str) -> Any:
-    return json.loads(text)
+def loads(text: str) -> Dict[str, Any]:
+    """Parse a document, which must be a JSON object."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise MalformedFiltration(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedFiltration("a document must be a JSON object")
+    return doc
 
 
 def write_file(path: str, doc: Any) -> None:
@@ -145,6 +186,6 @@ def write_file(path: str, doc: Any) -> None:
         fh.write(dumps(doc))
 
 
-def read_file(path: str) -> Any:
+def read_file(path: str) -> Dict[str, Any]:
     with open(path) as fh:
-        return json.load(fh)
+        return loads(fh.read())

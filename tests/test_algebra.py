@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from stratabord import algebra
 from stratabord.algebra import (
     GF,
     QQ,
@@ -111,6 +110,25 @@ def dense_rank_q(rows):
     return rank
 
 
+def dense_rank_p(rows, p):
+    """Rank over 𝔽ₚ: dense row echelon form of the residues."""
+    A = [[x % p for x in r] for r in rows]
+    rank = 0
+    cols = len(A[0]) if A else 0
+    for j in range(cols):
+        piv = next((i for i in range(rank, len(A)) if A[i][j]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        inv = pow(A[rank][j], p - 2, p)
+        for i in range(rank + 1, len(A)):
+            if A[i][j]:
+                f = A[i][j] * inv
+                A[i] = [(a - f * b) % p for a, b in zip(A[i], A[rank])]
+        rank += 1
+    return rank
+
+
 def to_dense(M: SparseMatrix):
     return [
         [M.entries.get((i, j), 0) for j in range(M.ncols)] for i in range(M.nrows)
@@ -125,6 +143,17 @@ def random_matrix(rng, m, n, lo=-4, hi=4, density=0.6):
                 v = rng.randint(lo, hi)
                 if v:
                     entries[(i, j)] = v
+    return SparseMatrix(m, n, entries)
+
+
+def unit_two_matrix(rng, m, n):
+    """Sparse entries in {±1, ±2}: unit pivots with a non-unit residual."""
+    entries = {
+        (i, j): rng.choice((-2, -1, 1, 2))
+        for i in range(m)
+        for j in range(n)
+        if rng.random() < 0.5
+    }
     return SparseMatrix(m, n, entries)
 
 
@@ -194,17 +223,10 @@ def test_invariant_factors_residual_handoff_randomized():
     rng = random.Random(29)
     handed_off = 0
     for _ in range(200):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        entries = {
-            (i, j): rng.choice((-2, -1, 1, 2))
-            for i in range(m)
-            for j in range(n)
-            if rng.random() < 0.5
-        }
-        M = SparseMatrix(m, n, entries)
+        M = unit_two_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         facs = invariant_factors(M)
         assert facs == smith_normal_form(M)[0]
-        assert facs == algebra._smith(M, track=False)[0]
+        assert facs == dense_smith(to_dense(M))
         handed_off += bool(facs) and facs[-1] > 1
     assert handed_off >= 20
 
@@ -226,6 +248,29 @@ def test_rank_mod_p_drops_on_torsion():
     assert rank_over(M, QQ) == 1
     assert rank_over(M, GF(2)) == 0
     assert rank_over(M, GF(3)) == 1
+    # det = −5: full rank over Q, rank 1 over F5, with no ±1 entry to pivot on.
+    M = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 3, (1, 0): 3, (1, 1): 2})
+    assert rank_over(M, QQ) == 2
+    assert rank_over(M, GF(5)) == 1
+
+
+def test_rank_mod_p_matches_dense_gauss(entries):
+    rng = random.Random(31)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            # About half the entries are scaled by p, so they vanish mod p.
+            M = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+            M = SparseMatrix(
+                M.nrows,
+                M.ncols,
+                {rc: v * p if rng.random() < 0.5 else v for rc, v in M.entries.items()},
+            )
+            assert rank_over(M, GF(p)) == dense_rank_p(to_dense(M), p), p
+    for name, e in entries.items():
+        for i in range(1, e.complex.dim + 1):
+            M = boundary_matrix(e.complex, i)
+            for p in (2, 3, 5):
+                assert rank_over(M, GF(p)) == dense_rank_p(to_dense(M), p), (name, i, p)
 
 
 def test_parse_ring():
@@ -243,8 +288,9 @@ def test_parse_ring():
 
 def test_kernel_basis_is_saturated():
     rng = random.Random(19)
-    for _ in range(30):
-        M = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+    matrices = [random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(30)]
+    matrices += [unit_two_matrix(rng, 8, 8) for _ in range(30)]
+    for M in matrices:
         K = kernel_basis(M)
         # columns lie in the kernel
         assert not M.times(K).entries
@@ -256,15 +302,21 @@ def test_kernel_basis_is_saturated():
 
 def test_solve_exact_roundtrip():
     rng = random.Random(23)
-    for _ in range(20):
-        n, k = rng.randint(1, 4), rng.randint(1, 4)
-        K = random_matrix(rng, n + 2, n, density=0.9)
-        if rank_over(K, QQ) < n:
-            continue
-        X = random_matrix(rng, n, k, density=0.9)
+
+    def roundtrip(K, k):
+        if rank_over(K, QQ) < K.ncols:
+            return False
+        X = random_matrix(rng, K.ncols, k, density=0.9)
         B = K.times(X)
         got = solve_exact(K, B)
         assert K.times(got).entries == B.entries
+        return True
+
+    for _ in range(20):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        roundtrip(random_matrix(rng, n + 2, n, density=0.9), k)
+    solved = sum(roundtrip(unit_two_matrix(rng, 8, 8), rng.randint(1, 4)) for _ in range(30))
+    assert solved >= 5
 
 
 # ---------------------------------------------------------------------------

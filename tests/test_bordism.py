@@ -7,6 +7,7 @@ import dataclasses
 
 import pytest
 
+from conftest import flip_interior_sign
 from stratabord import catalog
 from stratabord.algebra import ZZ, homology
 from stratabord.bordism import (
@@ -22,6 +23,7 @@ from stratabord.bordism import (
     verify_corner_unfolding,
 )
 from stratabord.complexes import build_complex, suspension_poles
+from stratabord.iso import LabeledIsomorphism
 from stratabord.errors import (
     DifferentCarrier,
     NotClosed,
@@ -101,6 +103,28 @@ def test_glue_cancels_matching_boundary(entries):
     assert g.Y.complex.euler_characteristic() == FX.complex.euler_characteristic()
 
 
+def swap_two_smallest(FX):
+    """FX with its two smallest vertices swapped, skeleta and orientation
+    carried: an odd relabeling, which reverses the sorted order of facets."""
+    a, b = sorted(FX.complex.vertices)[:2]
+    vmap = {**{v: v for v in FX.complex.vertices}, a: b, b: a}
+    skeleta = {
+        j: [tuple(sorted(vmap[v] for v in f)) for f in FX.skeleton(j).facets]
+        for j in range(FX.dim)
+    }
+    return vmap, make_filtered(
+        FX.complex.relabel(vmap), skeleta, None, FX.orientation.relabel(vmap)
+    )
+
+
+def test_glue_along_an_odd_relabeling(entries):
+    FX = entries["T2"].stratifications[0]
+    _vmap, swapped = swap_two_smallest(FX)
+    g = glue(cylinder(FX), cylinder(swapped), ("plus", "minus"))
+    assert verify_certificate(g).passed
+    assert {p.label for p in g.pieces} == {"minus", "plus"}
+
+
 def test_glue_rejects_same_sign():
     FX = catalog.get("S2").stratifications[0]
     with pytest.raises(SignClash):
@@ -131,6 +155,15 @@ def test_restratify_bordism(entries):
     assert verify_certificate(out).passed
     assert out.piece("plus").space.same_filtration(e.stratifications[1])
     assert out.piece("minus").space.same_filtration(e.stratifications[0])
+
+
+def test_restratify_bordism_through_an_odd_relabeling(entries):
+    e = entries["Sigma-T2"]
+    vmap, X = swap_two_smallest(e.stratifications[1])
+    base = cylinder(e.stratifications[0])
+    out = restratify_bordism(base, X, e.stratifications[0], isoX=LabeledIsomorphism(vmap))
+    assert verify_certificate(out).passed
+    assert out.piece("plus").space.same_filtration(e.stratifications[1])
 
 
 def test_half_intrinsic_suspension_figure_census():
@@ -177,6 +210,14 @@ def test_tampered_certificate_fails_verification(entries):
     rep = verify_certificate(bad)
     assert not rep.passed
     assert not rep.checks["signs_match"]
+
+
+def test_incoherent_carrier_orientation_fails_verification(entries):
+    cert = bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0])
+    rep = verify_certificate(flip_interior_sign(cert))
+    assert not rep.passed
+    assert not rep.checks["signs_match"]
+    assert all(v for k, v in rep.checks.items() if k != "signs_match")
 
 
 def test_missing_collar_detected(entries):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import flip_interior_sign
 from stratabord import jsonio
 from stratabord.cli import parse_class_spec, run
 
@@ -126,6 +127,54 @@ def test_bordism_roundtrip_through_files(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     assert run(["bordism", "verify", str(cert_path)]) == 0
+
+
+def test_bordism_verify_rejects_incoherent_carrier(tmp_path, capsys):
+    cert_path, bad_path = tmp_path / "cert.json", tmp_path / "bad.json"
+    assert run(["bordism", "to-intrinsic", "catalog:Sigma-T2", "--out", str(cert_path)]) == 0
+    cert = jsonio.certificate_from_json(jsonio.read_file(str(cert_path)))
+    jsonio.write_file(str(bad_path), jsonio.certificate_to_json(flip_interior_sign(cert)))
+    capsys.readouterr()
+    code, out = run_capture(capsys, ["bordism", "verify", str(bad_path), "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["checks"]["signs_match"] is False
+
+
+S2_FACETS = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+
+MALFORMED = {
+    "invalid_json": '{"type": "complex", "facets": [[0, 1, 2]',
+    "top_level_list": S2_FACETS,
+    "no_facets": {"type": "filtered_complex", "skeleta": [], "boundary": None},
+    "no_type": {"facets": S2_FACETS},
+    "string_vertices": {
+        "type": "complex",
+        "facets": [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]],
+    },
+    "bool_vertex": {"type": "complex", "facets": [[False, 1, 2], [0, 1, 3]]},
+    "repeated_vertex": {"type": "complex", "facets": [[0, 0, 1], [0, 1, 2]]},
+    "sign_seven": {
+        "type": "filtered_complex",
+        "facets": S2_FACETS,
+        "skeleta": [[], []],
+        "boundary": None,
+        "orientation": [[[0, 1, 2], 7], [[0, 1, 3], -1], [[0, 2, 3], 1], [[1, 2, 3], -1]],
+        "classical": True,
+        "heuristic": False,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_document_is_usage_error(name, tmp_path, capsys):
+    doc = MALFORMED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_glue_two_cylinders(tmp_path, capsys):

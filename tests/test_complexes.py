@@ -178,6 +178,18 @@ def test_orientation_verified_independently():
         assert verify_orientation(K, oa)
 
 
+def test_orientation_relabel_stays_coherent():
+    # Every permutation of the vertices of S², and a random one of the torus.
+    for perm in itertools.permutations(range(4)):
+        vmap = dict(enumerate(perm))
+        assert verify_orientation(S2.relabel(vmap), orient(S2).relabel(vmap))
+    T2 = product(S1, S1)
+    verts = sorted(T2.vertices)
+    shuffled = random.Random(3).sample(verts, len(verts))
+    vmap = dict(zip(verts, shuffled))
+    assert verify_orientation(T2.relabel(vmap), orient(T2).relabel(vmap))
+
+
 def test_nonorientable_raises():
     rp2 = build_complex(
         [
