@@ -119,13 +119,6 @@ _MANIFOLD_CLASSES = {
 }
 
 
-def _reduced_to_full(n: int, reduced: Dict[int, Tuple[int, Tuple[int, ...]]]):
-    table: List[Tuple[int, Tuple[int, ...]]] = [(1, ())]
-    for i in range(1, n + 1):
-        table.append(reduced.get(i, (0, ())))
-    return tuple(table)
-
-
 def _suspension_table(base: HomologyTable, n: int) -> HomologyTable:
     """H_*(SX) from H_*(X): degree 0 is ℤ, degree i ≥ 1 is H̃_{i−1}(X)."""
     table: List[Tuple[int, Tuple[int, ...]]] = [(1, ())]

@@ -40,6 +40,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _read(ref: str) -> str:
+    """The text of a UTF-8 file; unreadable and undecodable files are bad input."""
+    try:
+        with open(ref, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StrataError(f"cannot read {ref}: {exc}")
+
+
 def _load_space(ref: str) -> Tuple[FilteredComplex, str]:
     """A filtered complex from a JSON file or a catalog:NAME[:k] reference."""
     if ref.startswith("catalog:"):
@@ -49,10 +58,7 @@ def _load_space(ref: str) -> Tuple[FilteredComplex, str]:
         if k < 0 or k >= len(entry.stratifications):
             raise UnknownName(f"{parts[1]} has no stratification {k}")
         return entry.stratifications[k], _digest(ref)
-    try:
-        text = open(ref).read()
-    except OSError as exc:
-        raise StrataError(f"cannot read {ref}: {exc}")
+    text = _read(ref)
     doc = jsonio.loads(text)
     if doc.get("type") == "complex":
         return trivial_filtration(jsonio.complex_from_json(doc)), _digest(text)
@@ -60,10 +66,7 @@ def _load_space(ref: str) -> Tuple[FilteredComplex, str]:
 
 
 def _load_certificate(ref: str) -> Tuple[bordism.BordismCertificate, str]:
-    try:
-        text = open(ref).read()
-    except OSError as exc:
-        raise StrataError(f"cannot read {ref}: {exc}")
+    text = _read(ref)
     return jsonio.certificate_from_json(jsonio.loads(text)), _digest(text)
 
 

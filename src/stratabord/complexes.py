@@ -7,6 +7,10 @@ function.
 
 The empty complex is first class and carries a nominal dimension tag, so that
 "an empty pseudomanifold of dimension n" is representable.
+
+`link` and `star` read a cached star index (the facets through each vertex).
+They rely on the facets being maximal: `build_complex` makes them so, and
+`relabel` keeps them so because it takes an injective vertex map.
 """
 
 from __future__ import annotations
@@ -62,6 +66,16 @@ class SimplicialComplex:
         for d in buckets:
             buckets[d].sort()
         return buckets
+
+    @cached_property
+    def _star_index(self) -> Tuple[List[Simplex], Dict[int, set]]:
+        """The facets in a list, and for each vertex the positions of the facets through it."""
+        facets = list(self.facets)
+        through: Dict[int, set] = {}
+        for i, f in enumerate(facets):
+            for v in f:
+                through.setdefault(v, set()).add(i)
+        return facets, through
 
     def faces_of_dim(self, d: int) -> List[Simplex]:
         return self._faces_by_dim.get(d, [])
@@ -135,30 +149,31 @@ def empty_complex(dim: int = -1) -> SimplicialComplex:
     return SimplicialComplex(frozenset(), dim)
 
 
-def link(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
-    """link(K, s) = { t : t disjoint from s and t ∪ s ∈ K }."""
-    s = simplex(s)
-    if s not in K:
+def _facets_through(K: SimplicialComplex, s: Simplex) -> List[Simplex]:
+    """The facets of K containing the simplex s, via the star index."""
+    facets, through = K._star_index
+    common = sorted((through.get(v, set()) for v in s), key=len)
+    hits = common[0].intersection(*common[1:]) if s else ()
+    if not hits:
         raise SimplexNotFound(f"simplex {s} not in complex")
+    return [facets[i] for i in hits]
+
+
+def link(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
+    """link(K, s) = { t : t disjoint from s and t ∪ s ∈ K }.
+
+    The complements of the facets through s are the link's facets: distinct
+    maximal facets through s leave distinct maximal complements.
+    """
+    s = simplex(s)
     sset = set(s)
-    out = []
-    for f in K.facets:
-        if sset <= set(f):
-            rest = tuple(v for v in f if v not in sset)
-            if rest:
-                out.append(rest)
-    if not out:
-        return EMPTY
-    return build_complex(out)
+    out = frozenset(tuple(v for v in f if v not in sset) for f in _facets_through(K, s))
+    return EMPTY if out == {()} else SimplicialComplex(out)
 
 
 def star(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
     """Closed star: subcomplex generated by facets containing s."""
-    s = simplex(s)
-    if s not in K:
-        raise SimplexNotFound(f"simplex {s} not in complex")
-    sset = set(s)
-    return build_complex([f for f in K.facets if sset <= set(f)])
+    return SimplicialComplex(frozenset(_facets_through(K, simplex(s))))
 
 
 def _shift_map(K: SimplicialComplex, offset: int) -> Dict[int, int]:

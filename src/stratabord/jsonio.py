@@ -5,8 +5,9 @@ integers; simplices serialize as sorted integer lists, complexes as facet
 lists, filtrations as facet lists per skeleton.  `dumps` is canonical
 (sorted keys, fixed separators), so equal values serialize byte-identically.
 Reading is strict: invalid JSON, a top level that is not an object, a missing
-field, a vertex that is not an integer, a simplex that repeats a vertex and an
-orientation sign other than ±1 raise MalformedFiltration.
+field, a vertex that is not an integer, a simplex that repeats a vertex, an
+orientation sign other than ±1, an orientation that misses a facet and a
+certificate field of the wrong type raise MalformedFiltration.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ def _simplex_list(K: SimplicialComplex) -> List[List[int]]:
     return [list(f) for f in sorted(K.facets)]
 
 
-def _field(doc: Dict[str, Any], key: str) -> Any:
+def _field(doc: Dict[str, Any], key: str, kind: type = object) -> Any:
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedFiltration(f"document has no {key!r} field")
+    if not isinstance(doc[key], kind):
+        raise MalformedFiltration(f"field {key!r} has the wrong type")
     return doc[key]
 
 
@@ -60,6 +63,19 @@ def _simplices(doc: Any) -> List[Tuple[int, ...]]:
     return [_simplex_from_json(f) for f in doc]
 
 
+def _is_sign(s: Any) -> bool:
+    return type(s) is int and s in (1, -1)
+
+
+def _int_pairs(doc: Any, what: str) -> Tuple[Tuple[int, int], ...]:
+    if not isinstance(doc, list) or any(
+        not isinstance(e, list) or len(e) != 2 or any(type(v) is not int for v in e)
+        for e in doc
+    ):
+        raise MalformedFiltration(f"{what} must be a list of integer pairs")
+    return tuple(tuple(e) for e in doc)
+
+
 def _complex_from_facets(facets: Any) -> SimplicialComplex:
     facets = _simplices(facets)
     return build_complex(facets) if facets else EMPTY
@@ -80,7 +96,7 @@ def _orientation_to_json(oa: Optional[OrientationAssignment]):
     return [[list(f), s] for f, s in sorted(oa.signs.items())]
 
 
-def _orientation_from_json(doc) -> Optional[OrientationAssignment]:
+def _orientation_from_json(doc, K: SimplicialComplex) -> Optional[OrientationAssignment]:
     if doc is None:
         return None
     if not isinstance(doc, list) or any(
@@ -88,8 +104,11 @@ def _orientation_from_json(doc) -> Optional[OrientationAssignment]:
     ):
         raise MalformedFiltration("an orientation must be a list of [simplex, sign] pairs")
     signs = {_simplex_from_json(f): s for f, s in doc}
-    if any(type(s) is not int or s not in (1, -1) for s in signs.values()):
+    if not all(_is_sign(s) for s in signs.values()):
         raise MalformedFiltration("orientation signs must be +1 or -1")
+    missing = sorted(K.facets.difference(signs))
+    if missing:
+        raise MalformedFiltration(f"the orientation gives facet {missing[0]} no sign")
     return OrientationAssignment(signs)
 
 
@@ -116,7 +135,7 @@ def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
         K,
         skeleta,
         B,
-        _orientation_from_json(doc.get("orientation")),
+        _orientation_from_json(doc.get("orientation"), K),
         doc.get("classical", True),
         doc.get("heuristic", False),
     )
@@ -145,24 +164,19 @@ def certificate_to_json(cert: BordismCertificate) -> Dict[str, Any]:
 
 def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
     _check_type(doc, "bordism_certificate")
-    pieces = tuple(
-        BoundaryPiece(
-            _field(p, "label"),
-            filtration_from_json(_field(p, "space")),
-            LabeledIsomorphism({a: b for a, b in _field(p, "iso")}),
-            _field(p, "sign"),
-        )
-        for p in _field(doc, "pieces")
-    )
+    pieces = []
+    for p in _field(doc, "pieces", list):
+        if not _is_sign(_field(p, "sign")):
+            raise MalformedFiltration("a piece's sign must be +1 or -1")
+        iso = LabeledIsomorphism(dict(_int_pairs(_field(p, "iso"), "a piece's iso")))
+        space = filtration_from_json(_field(p, "space"))
+        pieces.append(BoundaryPiece(_field(p, "label"), space, iso, p["sign"]))
     collars = {
-        label: CollarCertificate(
-            _field(c, "kind"), tuple(tuple(pair) for pair in _field(c, "data"))
-        )
-        for label, c in _field(doc, "collars").items()
+        label: CollarCertificate(_field(c, "kind"), _int_pairs(_field(c, "data"), "collar data"))
+        for label, c in _field(doc, "collars", dict).items()
     }
-    return BordismCertificate(
-        filtration_from_json(_field(doc, "carrier")), pieces, collars, _field(doc, "provenance")
-    )
+    carrier = filtration_from_json(_field(doc, "carrier"))
+    return BordismCertificate(carrier, tuple(pieces), collars, _field(doc, "provenance"))
 
 
 def dumps(doc: Any) -> str:

@@ -11,7 +11,6 @@ integral homology and results carry a `heuristic` flag.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -23,7 +22,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     barycentric_subdivision,
-    build_complex,
     empty_complex,
     join,
     link,
@@ -651,19 +649,6 @@ class ValidationReport:
         return [c.clause for c in self.clauses if not c.passed]
 
 
-def _cofacet_links(K: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:
-    """For every face, the link facets (complements inside containing facets)."""
-    import itertools
-
-    out: Dict[Simplex, List[Simplex]] = {}
-    for F in K.facets:
-        for k in range(1, len(F) + 1):
-            for sub in itertools.combinations(F, k):
-                rest = tuple(v for v in F if v not in sub)
-                out.setdefault(sub, []).append(rest)
-    return out
-
-
 def validate_stratified_pseudomanifold(
     FX: FilteredComplex, mode: str = "closed", _depth: int = 0
 ) -> ValidationReport:
@@ -704,14 +689,8 @@ def validate_stratified_pseudomanifold(
 
     # (c) density of the regular part
     sing_faces = FX.skeleton(n - 1).faces
-    regular_facets = [f for f in K.facets if f not in sing_faces]
-    covered = set()
-    import itertools as _it
-
-    for f in regular_facets:
-        for k in range(1, len(f) + 1):
-            covered.update(_it.combinations(f, k))
-    missing = K.faces - covered
+    regular = SimplicialComplex(frozenset(f for f in K.facets if f not in sing_faces))
+    missing = K.faces - regular.faces
     ok_c = not missing
     clauses.append(
         ClauseResult("c", ok_c, "" if ok_c else f"face {min(missing)} misses the regular part")
@@ -749,17 +728,11 @@ def validate_stratified_pseudomanifold(
     ok_e, det_e = ok_ridge, det_ridge
     if ok_e:
         for S in all_strata:
-            # Links inside the open stratum, via one pass over cofaces.
-            lk_map: Dict[Simplex, List[Simplex]] = {s: [] for s in S.simplices}
-            for t in S.simplices:
-                for k in range(1, len(t)):
-                    for sub in itertools.combinations(t, k):
-                        if sub in lk_map:
-                            lk_map[sub].append(
-                                tuple(v for v in t if v not in sub)
-                            )
+            # Every coface of s in X^j lies in the open stratum S, so the
+            # link in the skeleton is the link inside the stratum.
+            Xj = FX.skeleton(S.dim)
             for s in sorted(S.simplices):
-                L = build_complex(lk_map[s], empty_ok=True)
+                L = link(Xj, s)
                 want = S.dim - (len(s) - 1) - 1
                 on_boundary = s in boundary.faces
                 if want < 0:
@@ -778,7 +751,10 @@ def validate_stratified_pseudomanifold(
 
     # (f) recursive link condition on singular strata
     ok_f, det_f = True, ""
-    if _depth < 12:
+    if _depth >= 12 and not all(S.regular for S in all_strata):
+        flag.heuristic = True
+        det_f = "recursion depth limit: link condition not checked"
+    elif _depth < 12:
         for S in all_strata:
             if S.regular:
                 continue
@@ -844,12 +820,8 @@ def validate_stratified_pseudomanifold(
                     ok_g, det_g = False, f"boundary fails clauses {rep.failing()}"
             if ok_g:
                 # Collar necessary condition: links of boundary faces are cones.
-                cof = _cofacet_links(K)
                 for s in sorted(B.faces):
-                    L = build_complex(
-                        [t for t in cof.get(s, []) if t], empty_ok=True
-                    )
-                    if not ball_like(L, flag):
+                    if not ball_like(link(K, s), flag):
                         ok_g = False
                         det_g = f"link of boundary face {s} is not a cone"
                         break

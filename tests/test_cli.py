@@ -167,14 +167,59 @@ MALFORMED = {
 }
 
 
+def assert_usage_error(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_document_is_usage_error(name, tmp_path, capsys):
     doc = MALFORMED[name]
     path = tmp_path / f"{name}.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    assert run(["validate", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert_usage_error(["validate", str(path)], capsys)
+
+
+def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"type": "complex", "facets": [[0, 1]], "name": "é"}'.encode("latin-1"))
+    assert_usage_error(["validate", str(path)], capsys)
+
+
+@pytest.fixture()
+def cylinder_doc(tmp_path):
+    path = tmp_path / "cylinder.json"
+    assert run(["bordism", "cylinder", "catalog:S2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_orientation_missing_a_facet_is_usage_error(cylinder_doc, tmp_path, capsys):
+    del cylinder_doc["carrier"]["orientation"][0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cylinder_doc))
+    assert_usage_error(["bordism", "verify", str(path)], capsys)
+
+
+WRONG_TYPES = {
+    "collars_list": lambda d: d.update(collars=[]),
+    "pieces_object": lambda d: d.update(pieces={}),
+    "piece_not_object": lambda d: d.update(pieces=[1]),
+    "iso_not_pairs": lambda d: d["pieces"][0].update(iso=[[0]]),
+    "iso_string_vertex": lambda d: d["pieces"][0].update(iso=[["a", 1]]),
+    "collar_data_not_pairs": lambda d: d["collars"]["plus"].update(data=[0, 1]),
+    "sign_two": lambda d: d["pieces"][0].update(sign=2),
+    "sign_true": lambda d: d["pieces"][0].update(sign=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+def test_certificate_field_of_wrong_type_is_usage_error(name, cylinder_doc, tmp_path, capsys):
+    WRONG_TYPES[name](cylinder_doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cylinder_doc))
+    assert_usage_error(["bordism", "verify", str(path)], capsys)
 
 
 def test_glue_two_cylinders(tmp_path, capsys):

@@ -9,9 +9,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratabord.algebra import ZZ, homology
+from stratabord.bordism import bordism_to_intrinsic
 from stratabord.complexes import (
+    EMPTY,
     barycentric_subdivision,
     boundary_orientation,
     boundary_subcomplex,
@@ -69,6 +72,58 @@ def test_link_and_star():
     assert link(S2, (0,)).facets == frozenset({(1, 2), (1, 3), (2, 3)})
     assert link(S2, (0, 1)).facets == frozenset({(2,), (3,)})
     assert star(S2, (0,)).facets == frozenset({(0, 1, 2), (0, 1, 3), (0, 2, 3)})
+    assert link(S2, (0, 1, 2)) == EMPTY
+
+
+def _link_oracle(K):
+    """link(K, s) for every face s, from the definition: the faces t ∖ s for
+    the faces t ⊋ s of K, reduced to the maximal ones."""
+    faces = {s: set() for s in K.faces}
+    for t in K.faces:
+        for k in range(1, len(t)):
+            for s in itertools.combinations(t, k):
+                faces[s].add(tuple(v for v in t if v not in s))
+    return {
+        s: fs - {u[:i] + u[i + 1 :] for u in fs for i in range(len(u))}
+        for s, fs in faces.items()
+    }
+
+
+def assert_link_and_star_match_oracle(K):
+    for s, want in _link_oracle(K).items():
+        L = link(K, s)
+        assert L.facets == want, s
+        assert (L == EMPTY) == (s in K.facets), s
+        assert star(K, s).facets == ({tuple(sorted(s + u)) for u in want} or {s}), s
+    fresh = (max(K.vertices) + 1,)
+    non_face = tuple(K.vertices) if tuple(K.vertices) not in K.faces else fresh
+    for s in (non_face, fresh, ()):
+        with pytest.raises(SimplexNotFound):
+            link(K, s)
+        with pytest.raises(SimplexNotFound):
+            star(K, s)
+
+
+@st.composite
+def mixed_complexes(draw):
+    """Small complexes whose facets may differ in dimension."""
+    nverts = draw(st.integers(1, 7))
+    simplices = st.lists(st.integers(0, nverts - 1), min_size=1, max_size=4, unique=True)
+    return build_complex(draw(st.lists(simplices, min_size=1, max_size=8)))
+
+
+@given(mixed_complexes())
+@settings(max_examples=150, deadline=None)
+def test_link_and_star_match_the_definition_on_random_complexes(K):
+    assert_link_and_star_match_oracle(K)
+
+
+def test_link_and_star_match_the_definition_on_catalog_and_carrier(entries):
+    for entry in entries.values():
+        assert_link_and_star_match_oracle(entry.complex)
+    carrier = bordism_to_intrinsic(entries["T3"].stratifications[0]).Y.complex
+    assert len(carrier.faces) == 8802
+    assert_link_and_star_match_oracle(carrier)
 
 
 def test_join_multiplies_reduced_euler():

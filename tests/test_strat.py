@@ -5,9 +5,12 @@ the constructive API plus structural properties (coarsening, link-of-link,
 the circle-product law).
 """
 
+import itertools
+
 import pytest
 
 from stratabord import catalog
+from stratabord.bordism import bordism_to_intrinsic
 from stratabord.complexes import (
     build_complex,
     cone,
@@ -128,6 +131,38 @@ def test_validator_passes_catalog_samples(entries):
         for FX in entries[name].stratifications:
             rep = validate_stratified_pseudomanifold(FX)
             assert rep.passed, (name, rep.failing())
+
+
+def _stratum_links(S):
+    """Links inside the open stratum S, from one pass over its cofaces."""
+    lk_map = {s: [] for s in S.simplices}
+    for t in S.simplices:
+        for k in range(1, len(t)):
+            for sub in itertools.combinations(t, k):
+                if sub in lk_map:
+                    lk_map[sub].append(tuple(v for v in t if v not in sub))
+    return {s: build_complex(fs, empty_ok=True) for s, fs in lk_map.items()}
+
+
+def test_stratum_links_are_links_in_the_skeleton(entries):
+    spaces = [FX for entry in entries.values() for FX in entry.stratifications]
+    spaces.append(bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0]).Y)
+    for FX in spaces:
+        for S in strata(FX):
+            for s, L in _stratum_links(S).items():
+                assert link(FX.skeleton(S.dim), s) == L, (S.dim, s)
+
+
+def test_validator_flags_links_left_unchecked_at_the_depth_limit(entries):
+    FX = entries["Sigma-T2"].stratifications[0]
+    checked = validate_stratified_pseudomanifold(FX)
+    assert checked.passed and not checked.heuristic and checked.clause("f").detail == ""
+    rep = validate_stratified_pseudomanifold(FX, _depth=12)
+    assert rep.passed and rep.heuristic
+    assert rep.clause("f").detail == "recursion depth limit: link condition not checked"
+    # with no singular stratum there is nothing left unchecked
+    manifold = validate_stratified_pseudomanifold(entries["T2"].stratifications[0], _depth=12)
+    assert manifold.clause("f").detail == "" and not manifold.heuristic
 
 
 def test_validator_names_broken_nesting():
