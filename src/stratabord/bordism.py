@@ -27,7 +27,6 @@ from .complexes import (
     boundary_subcomplex,
     build_complex,
     incidence,
-    link,
     orient,
     product_with_map,
     ridges_with_facets,
@@ -51,12 +50,11 @@ from .iso import LabeledIsomorphism, isomorphic
 from .strat import (
     FilteredComplex,
     _Flag,
-    _singular_components,
+    components,
     extend_orientation_to_intrinsic,
-    germ_invariant,
+    germ_partition,
     intrinsic_stratification,
     make_filtered,
-    sphere_like,
     strata,
     validate_stratified_pseudomanifold,
 )
@@ -194,16 +192,9 @@ def half_intrinsic_suspension(FX: FilteredComplex, closed: bool = True) -> Filte
             add(S.dim, s)
             add(S.dim + 1, tuple(sorted(s + (north,))))
     # South cone: germ classes of the simplices containing the south pole.
-    classes = {}
-    for f in sorted(SK.faces, key=lambda f: (-len(f), f)):
-        if south not in f:
-            continue
-        if sphere_like(link(SK, f), flag):
-            continue
-        classes[f] = germ_invariant(SK, f, flag)
-    for comp in _singular_components(classes):
-        d = max(len(s) - 1 for s in comp)
-        for s in comp:
+    for _inv, faces in germ_partition(SK, flag, keep=lambda f: south in f):
+        d = max(len(s) - 1 for s in faces)
+        for s in faces:
             add(d, s)
     return make_filtered(
         SK, gens, None, None, FX.classical, FX.heuristic or flag.heuristic
@@ -236,26 +227,10 @@ def _orient_pinned(
     """
     base = orient(Yc, skip_ridges=skip)
     # Propagation components over non-skipped interior ridges.
-    comp: Dict[Simplex, int] = {}
     rwf = ridges_with_facets(Yc)
-    adj: Dict[Simplex, List[Simplex]] = {f: [] for f in Yc.facets}
-    for r, fs in rwf.items():
-        if len(fs) == 2 and r not in skip:
-            adj[fs[0]].append(fs[1])
-            adj[fs[1]].append(fs[0])
-    cid = 0
-    for root in sorted(Yc.facets):
-        if root in comp:
-            continue
-        stack = [root]
-        comp[root] = cid
-        while stack:
-            f = stack.pop()
-            for g in adj[f]:
-                if g not in comp:
-                    comp[g] = cid
-                    stack.append(g)
-        cid += 1
+    glued = (fs for r, fs in rwf.items() if len(fs) == 2 and r not in skip)
+    parts = components(sorted(Yc.facets), glued)
+    comp = {f: cid for cid, part in enumerate(parts) for f in part}
     flip: Dict[int, int] = {}
     for r, want in pins.items():
         fs = rwf.get(r, [])
@@ -269,7 +244,7 @@ def _orient_pinned(
             raise InternalInvariantBreach(
                 "conflicting orientation pins within one component"
             )
-    if len(flip) != cid:
+    if len(flip) != len(parts):
         raise InternalInvariantBreach("orientation component carries no pin")
     return OrientationAssignment(
         {f: base.signs[f] * flip[comp[f]] for f in Yc.facets}

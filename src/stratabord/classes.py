@@ -12,11 +12,11 @@ test for spaces-with-boundary F_E (all interior polyhedral links allowed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from . import algebra, ih, strat
+from . import algebra, ih
 from .algebra import QQ, Ring, ZZ
-from .complexes import SimplicialComplex, boundary_subcomplex, is_orientable, join, link
+from .complexes import SimplicialComplex, boundary_subcomplex, is_orientable, link
 from .errors import (
     InternalInvariantBreach,
     KindMismatch,
@@ -29,13 +29,14 @@ from .strat import (
     FilteredComplex,
     _Flag,
     check_pseudomanifold,
+    germ_partition,
     intrinsic_stratification,
     literal_desuspension,
-    octahedral_sphere,
+    polyhedral_link,
+    singular_faces,
     sphere_like,
     strata,
     stratum_link,
-    _singular_components,
 )
 
 
@@ -66,13 +67,15 @@ class SingularityClass:
     contains_circle: bool = True
     suspension_closed: bool = True
     desuspension_closed: bool = False
+    # Verdicts by K.facets, one dict per class object.
+    _verdicts: Dict[object, ClassVerdict] = dc_field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def member(self, K: SimplicialComplex) -> ClassVerdict:
-        key = (self.name, K.facets)
-        hit = _verdict_cache.get(key)
+        hit = self._verdicts.get(K.facets)
         if hit is None:
-            hit = self._member_raw(K)
-            _verdict_cache[key] = hit
+            hit = self._verdicts[K.facets] = self._member_raw(K)
         return hit
 
     def _member_raw(self, K: SimplicialComplex) -> ClassVerdict:
@@ -85,9 +88,6 @@ class SingularityClass:
         if K.dim == 0 and self.kind == "E":
             return _no({"dim": 0}, "E-classes have no non-empty 0-dimensional members")
         return self.predicate(K)
-
-
-_verdict_cache: Dict[Tuple[str, object], ClassVerdict] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +409,9 @@ def siegel(E: SingularityClass) -> SingularityClass:
 
 def _interior_singular_links(K: SimplicialComplex, B: SimplicialComplex, flag: _Flag):
     """Links of the intrinsic singular strata of the interior of K."""
-    classes = {}
-    for f in sorted(K.faces, key=lambda f: (-len(f), f)):
-        if f in B.faces:
-            continue
-        L = link(K, f)
-        if sphere_like(L, flag):
-            continue
-        classes[f] = strat.germ_invariant(K, f, flag)
     out = []
-    for comp in _singular_components(classes):
-        top = max(comp, key=lambda s: (len(s), s))
+    for _inv, faces in germ_partition(K, flag, keep=lambda f: f not in B.faces):
+        top = max(faces, key=lambda s: (len(s), s))
         out.append((len(top) - 1, top, link(K, top)))
     return sorted(out)
 
@@ -467,15 +459,8 @@ def f_membership(
                 )
         return _yes(f"all interior links lie in {E.name}", flag.heuristic)
     if via == "polyhedral":
-        for f in sorted(K.faces, key=lambda f: (-len(f), f)):
-            if f in B.faces:
-                continue
-            L = link(K, f)
-            if sphere_like(L, flag):
-                continue
-            d = len(f) - 1
-            P = L if d == 0 else join(octahedral_sphere(d), L)
-            v = g_of_e_membership(P, E)
+        for f in singular_faces(K, flag, keep=lambda f: f not in B.faces):
+            v = g_of_e_membership(polyhedral_link(K, f), E)
             heur = flag.heuristic or v.heuristic
             if not v:
                 return _no(

@@ -24,14 +24,14 @@ class LabeledIsomorphism:
 
 
 def _vertex_signature(K: SimplicialComplex, labels):
-    sig = {}
-    for v in K.vertices:
-        counts = {}
-        for f in K.faces:
-            if v in f:
-                counts[len(f)] = counts.get(len(f), 0) + 1
-        sig[v] = (tuple(sorted(counts.items())), labels.get(v) if labels else None)
-    return sig
+    counts = {v: {} for v in K.vertices}
+    for f in K.faces:
+        for v in f:
+            counts[v][len(f)] = counts[v].get(len(f), 0) + 1
+    return {
+        v: (tuple(sorted(c.items())), labels.get(v) if labels else None)
+        for v, c in counts.items()
+    }
 
 
 def isomorphic(

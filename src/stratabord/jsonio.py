@@ -6,8 +6,9 @@ lists, filtrations as facet lists per skeleton.  `dumps` is canonical
 (sorted keys, fixed separators), so equal values serialize byte-identically.
 Reading is strict: invalid JSON, a top level that is not an object, a missing
 field, a vertex that is not an integer, a simplex that repeats a vertex, an
-orientation sign other than ±1, an orientation that misses a facet and a
-certificate field of the wrong type raise MalformedFiltration.
+orientation sign other than ±1, an orientation that misses a facet, a
+`skeleta` that is not a list, a `classical` or `heuristic` that is not a
+boolean and a certificate field of the wrong type raise MalformedFiltration.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def _field(doc: Dict[str, Any], key: str, kind: type = object) -> Any:
     if not isinstance(doc[key], kind):
         raise MalformedFiltration(f"field {key!r} has the wrong type")
     return doc[key]
+
+
+def _optional_field(doc: Dict[str, Any], key: str, kind: type, default: Any) -> Any:
+    return _field(doc, key, kind) if key in doc else default
 
 
 def _check_type(doc: Any, kind: str) -> None:
@@ -128,7 +133,7 @@ def filtration_to_json(FX: FilteredComplex) -> Dict[str, Any]:
 def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
     _check_type(doc, "filtered_complex")
     K = _complex_from_facets(_field(doc, "facets"))
-    skeleta = tuple(_complex_from_facets(sk) for sk in doc.get("skeleta", []))
+    skeleta = tuple(map(_complex_from_facets, _optional_field(doc, "skeleta", list, [])))
     boundary = doc.get("boundary")
     B = None if boundary is None else K.subcomplex(_simplices(boundary))
     return FilteredComplex(
@@ -136,8 +141,8 @@ def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
         skeleta,
         B,
         _orientation_from_json(doc.get("orientation"), K),
-        doc.get("classical", True),
-        doc.get("heuristic", False),
+        _optional_field(doc, "classical", bool, True),
+        _optional_field(doc, "heuristic", bool, False),
     )
 
 

@@ -11,9 +11,10 @@ integral homology and results carry a `heuristic` flag.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from . import algebra
 from .complexes import (
@@ -26,7 +27,6 @@ from .complexes import (
     join,
     link,
     ridges_with_facets,
-    simplex,
     suspension,
     verify_orientation,
 )
@@ -175,32 +175,45 @@ def _check_skeleta(FX: FilteredComplex):
         prev_faces = sk.faces
 
 
+def components(nodes: Iterable, edges: Iterable[Tuple]) -> List[list]:
+    """Connected components of a graph, by union-find.
+
+    Each component lists its nodes in the order of `nodes`, and components
+    come in the order of their first node.  Every edge must join two nodes.
+    """
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    comps: Dict[object, list] = {}
+    for x in parent:
+        comps.setdefault(find(x), []).append(x)
+    return list(comps.values())
+
+
+def _face_edges(faces):
+    """Edges s–f from each face s to its codimension-one faces f in `faces`."""
+    for s in faces:
+        for i in range(len(s)):
+            f = s[:i] + s[i + 1 :]
+            if f in faces:
+                yield s, f
+
+
 def strata(FX: FilteredComplex) -> List[Stratum]:
     """Connected components of X^j − X^{j−1} as sets of open simplices."""
     _check_skeleta(FX)
     n = FX.dim
     out: List[Stratum] = []
     for j in range(n + 1):
-        opens = set(FX.skeleton(j).faces) - set(FX.skeleton(j - 1).faces)
-        if not opens:
-            continue
-        parent = {s: s for s in opens}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in opens:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1 :]
-                if f in opens:
-                    parent[find(s)] = find(f)
-        comps: Dict[Simplex, set] = {}
-        for s in opens:
-            comps.setdefault(find(s), set()).add(s)
-        for comp in comps.values():
+        opens = FX.skeleton(j).faces - FX.skeleton(j - 1).faces
+        for comp in components(opens, _face_edges(opens)):
             out.append(Stratum(j, frozenset(comp), j == n))
     return sorted(out, key=lambda s: (s.dim, min(s.simplices)))
 
@@ -261,25 +274,29 @@ class _Flag:
         self.heuristic = False
 
 
-_sphere_memo: Dict[FrozenSet[Simplex], Tuple[bool, bool]] = {}
+def _memo_on_facets(raw):
+    """Memoize raw(K, flag) on K.facets.
+
+    raw sets its flag when its answer rests on homology; a cached answer sets
+    the caller's flag just as the first call did.
+    """
+    memo: Dict[FrozenSet[Simplex], Tuple[object, bool]] = {}
+
+    @functools.wraps(raw)
+    def cached(K: SimplicialComplex, flag: Optional[_Flag] = None):
+        hit = memo.get(K.facets)
+        if hit is None:
+            local = _Flag()
+            hit = memo[K.facets] = (raw(K, local), local.heuristic)
+        if hit[1] and flag is not None:
+            flag.heuristic = True
+        return hit[0]
+
+    return cached
 
 
 def connected_components(K: SimplicialComplex) -> int:
-    verts = list(K.vertices)
-    if not verts:
-        return 0
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in K.facets:
-        for v in f[1:]:
-            parent[find(v)] = find(f[0])
-    return len({find(v) for v in verts})
+    return len(components(K.vertices, ((f[0], v) for f in K.facets for v in f[1:])))
 
 
 def _is_closed_pseudo(K: SimplicialComplex) -> bool:
@@ -312,41 +329,28 @@ def _surface_type(K: SimplicialComplex):
     return (is_orientable(K), K.euler_characteristic())
 
 
-def sphere_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
+@_memo_on_facets
+def sphere_like(K: SimplicialComplex, flag: _Flag) -> bool:
     """Is K (a candidate link) a sphere?  Exact for dim ≤ 2, homology level above."""
-    key = K.facets
-    hit = _sphere_memo.get(key)
-    if hit is not None:
-        verdict, heur = hit
-        if heur and flag is not None:
-            flag.heuristic = True
-        return verdict
-    verdict, heur = _sphere_like_raw(K)
-    _sphere_memo[key] = (verdict, heur)
-    if heur and flag is not None:
-        flag.heuristic = True
-    return verdict
-
-
-def _sphere_like_raw(K: SimplicialComplex) -> Tuple[bool, bool]:
     if K.is_empty():
-        return True, False
+        return True
     d = K.dim
     if d == 0:
-        return len(K.vertices) == 2, False
+        return len(K.vertices) == 2
     if d == 1:
-        return is_circle(K), False
+        return is_circle(K)
     if d == 2:
-        return _surface_type(K) == (True, 2), False
+        return _surface_type(K) == (True, 2)
     if not _is_closed_pseudo(K) or connected_components(K) != 1:
-        return False, False
+        return False
     if K.euler_characteristic() != (2 if d % 2 == 0 else 0):
-        return False, False
+        return False
+    flag.heuristic = True
     groups = algebra.homology(K, algebra.ZZ)
     want = [algebra.HomologyGroup(1)] + [algebra.HomologyGroup(0)] * (d - 1) + [
         algebra.HomologyGroup(1)
     ]
-    return groups == want, True
+    return groups == want
 
 
 def ball_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
@@ -371,8 +375,6 @@ def ball_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
 # ---------------------------------------------------------------------------
 # Germ invariants and intrinsic stratification
 
-_inv_memo: Dict[FrozenSet[Simplex], Tuple[object, bool]] = {}
-
 
 def octahedral_sphere(d: int) -> SimplicialComplex:
     """The d-fold join of S⁰ with itself: a (d−1)-sphere on 2d vertices."""
@@ -382,29 +384,14 @@ def octahedral_sphere(d: int) -> SimplicialComplex:
     return K
 
 
-def complex_invariant(K: SimplicialComplex, flag: Optional[_Flag] = None):
+@_memo_on_facets
+def complex_invariant(K: SimplicialComplex, flag: _Flag):
     """A PL-homeomorphism invariant of a compact polyhedron.
 
     Exact classification in dimension ≤ 2 for the pseudomanifold cases; above
     that the invariant combines integral homology with the recursive multiset
     of germ invariants of the singular strata, and is heuristic.
     """
-    key = K.facets
-    hit = _inv_memo.get(key)
-    if hit is not None:
-        inv, heur = hit
-        if heur and flag is not None:
-            flag.heuristic = True
-        return inv
-    local = _Flag()
-    inv = _complex_invariant_raw(K, local)
-    _inv_memo[key] = (inv, local.heuristic)
-    if local.heuristic and flag is not None:
-        flag.heuristic = True
-    return inv
-
-
-def _complex_invariant_raw(K: SimplicialComplex, flag: _Flag):
     if K.is_empty():
         return ("empty",)
     d = K.dim
@@ -419,67 +406,54 @@ def _complex_invariant_raw(K: SimplicialComplex, flag: _Flag):
     if d >= 3:
         flag.heuristic = True
     hom = tuple((g.rank, g.torsion) for g in algebra.homology(K, algebra.ZZ))
-    regular, classes = germ_partition(K, flag)
-    comps = _singular_components(classes)
     multiset = sorted(
-        (max(len(s) - 1 for s in comp), classes[next(iter(comp))])
-        for comp in comps
+        (max(len(s) - 1 for s in faces), inv) for inv, faces in germ_partition(K, flag)
     )
     return ("cx", d, hom, tuple(multiset))
 
 
-def germ_invariant(K: SimplicialComplex, s: Simplex, flag: _Flag):
-    """Invariant of the polyhedral link of an interior point of the face s.
+def singular_faces(
+    K: SimplicialComplex, flag: _Flag, keep: Optional[Callable[[Simplex], bool]] = None
+) -> Iterator[Simplex]:
+    """The faces of K that pass `keep` and whose link is not a sphere.
 
-    The polyhedral link is S^{d−1} * link(s) for d = dim s; it is materialized
-    with an octahedral sphere factor so that literal join structure survives.
+    They come largest first, then in lexicographic order.  This is the one
+    place where face links are recognised as spheres.
+    """
+    for f in sorted(K.faces, key=lambda f: (-len(f), f)):
+        if (keep is None or keep(f)) and not sphere_like(link(K, f), flag):
+            yield f
+
+
+def polyhedral_link(K: SimplicialComplex, s: Simplex) -> SimplicialComplex:
+    """The polyhedral link of an interior point of the face s.
+
+    It is S^{d−1} * link(s) for d = dim s, materialized with an octahedral
+    sphere factor so that literal join structure survives.
     """
     L = link(K, s)
     d = len(s) - 1
-    if d == 0:
-        P = L
-    else:
-        P = join(octahedral_sphere(d), L)
-    return complex_invariant(P, flag)
+    return L if d == 0 else join(octahedral_sphere(d), L)
 
 
-def germ_partition(K: SimplicialComplex, flag: Optional[_Flag] = None):
-    """Split the faces of K into regular ones and germ-invariant classes.
+def germ_partition(
+    K: SimplicialComplex,
+    flag: Optional[_Flag] = None,
+    keep: Optional[Callable[[Simplex], bool]] = None,
+) -> List[Tuple[object, List[Simplex]]]:
+    """Group the singular faces of K that pass `keep` by germ invariant.
 
-    Returns (regular_faces, classes) where classes maps each singular face to
-    its germ invariant.
+    Returns (invariant, faces) pairs, one per connected class of singular
+    faces with equal invariant under face adjacency.
     """
     if flag is None:
         flag = _Flag()
-    regular = set()
-    classes: Dict[Simplex, object] = {}
-    for f in sorted(K.faces, key=lambda f: (-len(f), f)):
-        if sphere_like(link(K, f), flag):
-            regular.add(f)
-        else:
-            classes[f] = germ_invariant(K, f, flag)
-    return regular, classes
-
-
-def _singular_components(classes: Dict[Simplex, object]) -> List[set]:
-    """Connected components of same-invariant singular faces under face adjacency."""
-    parent = {s: s for s in classes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in classes:
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1 :]
-            if f in classes and classes[f] == classes[s]:
-                parent[find(s)] = find(f)
-    comps: Dict[Simplex, set] = {}
-    for s in classes:
-        comps.setdefault(find(s), set()).add(s)
-    return list(comps.values())
+    inv = {
+        f: complex_invariant(polyhedral_link(K, f), flag)
+        for f in singular_faces(K, flag, keep)
+    }
+    same = ((s, f) for s, f in _face_edges(inv) if inv[s] == inv[f])
+    return [(inv[faces[0]], faces) for faces in components(inv, same)]
 
 
 def check_pseudomanifold(K: SimplicialComplex, closed: bool = True):
@@ -499,17 +473,15 @@ def intrinsic_stratification(K: SimplicialComplex) -> FilteredComplex:
     if K.is_empty():
         return trivial_filtration(K)
     flag = _Flag()
-    regular, classes = germ_partition(K, flag)
-    comps = _singular_components(classes)
     n = K.dim
     skeleta: Dict[int, List[Simplex]] = {}
-    for comp in comps:
-        d = max(len(s) - 1 for s in comp)
+    for _inv, faces in germ_partition(K, flag):
+        d = max(len(s) - 1 for s in faces)
         if d >= n - 1:
             raise NotPseudomanifold(
                 "intrinsic partition produced a codimension-one singular class"
             )
-        skeleta.setdefault(d, []).extend(sorted(comp))
+        skeleta.setdefault(d, []).extend(faces)
     return make_filtered(K, skeleta, None, None, True, flag.heuristic)
 
 
@@ -587,7 +559,6 @@ def polyhedral_link_decomposition(FX: FilteredComplex, x: int) -> LinkDecomposit
     else:
         j = target.dim
         core = stratum_link(FXstar, target)
-    recon = None
     Lk = link(FX.complex, (x,))
     model = core.complex
     for _ in range(j):

@@ -8,6 +8,8 @@ from stratabord import catalog
 from stratabord.algebra import GF, QQ, ZZ
 from stratabord.classes import (
     BUILTIN_NAMES,
+    ClassVerdict,
+    SingularityClass,
     builtin,
     e_of_g,
     f_membership,
@@ -191,3 +193,10 @@ def test_verdict_caching_returns_same_object():
     E = builtin("euler2")
     K = catalog.get("Sigma-T2").complex
     assert E.member(K) is E.member(K)
+
+
+def test_classes_that_share_a_name_keep_their_own_verdicts():
+    yes = SingularityClass("x", "E", lambda K: ClassVerdict(True))
+    no = SingularityClass("x", "E", lambda K: ClassVerdict(False))
+    assert yes.member(S1).verdict is True
+    assert no.member(S1).verdict is False

@@ -164,6 +164,9 @@ MALFORMED = {
         "classical": True,
         "heuristic": False,
     },
+    "classical_string": {"type": "filtered_complex", "facets": S2_FACETS, "classical": "no"},
+    "heuristic_list": {"type": "filtered_complex", "facets": S2_FACETS, "heuristic": [1]},
+    "skeleta_int": {"type": "filtered_complex", "facets": S2_FACETS, "skeleta": 5},
 }
 
 
@@ -179,7 +182,8 @@ def test_malformed_document_is_usage_error(name, tmp_path, capsys):
     doc = MALFORMED[name]
     path = tmp_path / f"{name}.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    assert_usage_error(["validate", str(path)], capsys)
+    for command in ("validate", "stratify", "homology"):
+        assert_usage_error([command, str(path)], capsys)
 
 
 def test_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):

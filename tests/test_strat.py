@@ -6,14 +6,18 @@ the circle-product law).
 """
 
 import itertools
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratabord import catalog
 from stratabord.bordism import bordism_to_intrinsic
 from stratabord.complexes import (
+    boundary_subcomplex,
     build_complex,
     cone,
+    join,
     link,
     product,
     suspension,
@@ -26,10 +30,15 @@ from stratabord.errors import (
 )
 from stratabord.strat import (
     FilteredComplex,
+    _Flag,
     coarsens,
+    complex_invariant,
+    connected_components,
+    germ_partition,
     intrinsic_stratification,
     literal_desuspension,
     make_filtered,
+    octahedral_sphere,
     polyhedral_link_decomposition,
     sphere_like,
     ball_like,
@@ -270,3 +279,121 @@ def test_intrinsic_rejects_codimension_one_pinch():
     K = build_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     with pytest.raises(NotPseudomanifold):
         intrinsic_stratification(K)
+
+
+def _bfs_components(nodes, neighbours):
+    """Connected components by breadth-first search."""
+    seen, comps = set(), []
+    for root in sorted(nodes):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, queue = [], deque([root])
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in neighbours(x):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _strata_oracle(FX):
+    out = []
+    for j in range(FX.dim + 1):
+        opens = FX.skeleton(j).faces - FX.skeleton(j - 1).faces
+
+        def neighbours(s):
+            down = (s[:i] + s[i + 1 :] for i in range(len(s)))
+            up = (t for t in opens if len(t) == len(s) + 1 and set(s) <= set(t))
+            return [t for t in itertools.chain(down, up) if t in opens]
+
+        out += [(j, comp, j == FX.dim) for comp in _bfs_components(opens, neighbours)]
+    return sorted(out, key=lambda t: (t[0], min(t[1])))
+
+
+@st.composite
+def filtered_complexes(draw):
+    """A random complex with a random nested chain of subcomplexes."""
+    nverts = draw(st.integers(1, 7))
+    simplices = st.lists(st.integers(0, nverts - 1), min_size=1, max_size=4, unique=True)
+    K = build_complex(draw(st.lists(simplices, min_size=1, max_size=8)))
+    faces = sorted(K.faces)
+    skeleta = {j: draw(st.lists(st.sampled_from(faces), max_size=4)) for j in range(K.dim)}
+    return make_filtered(K, skeleta)
+
+
+@given(filtered_complexes())
+@settings(max_examples=150, deadline=None)
+def test_strata_and_connected_components_match_a_bfs_oracle(FX):
+    got = [(S.dim, S.simplices, S.regular) for S in strata(FX)]
+    assert got == _strata_oracle(FX)
+    K = FX.complex
+
+    def adjacent(v):
+        return {w for f in K.facets if v in f for w in f if w != v}
+
+    assert connected_components(K) == len(_bfs_components(K.vertices, adjacent))
+
+
+def _old_germ_partition(K, flag, keep):
+    """The germ loop and face-adjacency union-find as they stood before
+    germ_partition took them over, kept here as an oracle."""
+    classes = {}
+    for f in sorted(K.faces, key=lambda f: (-len(f), f)):
+        if not keep(f) or sphere_like(link(K, f), flag):
+            continue
+        L, d = link(K, f), len(f) - 1
+        classes[f] = complex_invariant(L if d == 0 else join(octahedral_sphere(d), L), flag)
+    parent = {s: s for s in classes}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in classes:
+        for i in range(len(s)):
+            f = s[:i] + s[i + 1 :]
+            if f in classes and classes[f] == classes[s]:
+                parent[find(s)] = find(f)
+    comps = {}
+    for s in classes:
+        comps.setdefault(find(s), set()).add(s)
+    return sorted((sorted(c), classes[next(iter(c))]) for c in comps.values())
+
+
+def test_germ_partition_matches_the_old_loop_under_each_filter(entries):
+    spaces = [entry.complex for entry in entries.values()]
+    spaces.append(bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0]).Y.complex)
+    for K in spaces:
+        rim = boundary_subcomplex(K).faces
+        north, south = suspension_poles(K)
+        SK = suspension(K, north, south)
+        cases = [
+            (K, None),  # the intrinsic stratification and complex_invariant
+            (K, lambda f: f not in rim),  # interior links of a space with boundary
+            (SK, lambda f: south in f),  # the south cone of the half-intrinsic suspension
+        ]
+        for L, keep in cases:
+            old_flag, new_flag = _Flag(), _Flag()
+            want = _old_germ_partition(L, old_flag, keep or (lambda f: True))
+            got = germ_partition(L, new_flag, keep)
+            assert sorted((sorted(faces), inv) for inv, faces in got) == want
+            assert all(faces == sorted(faces, key=lambda f: (-len(f), f)) for _, faces in got)
+            assert new_flag.heuristic == old_flag.heuristic
+
+
+def test_memo_replays_the_heuristic_flag():
+    # A 3-sphere is recognised, and given an invariant, at the homology
+    # level: the first answer is heuristic, and so is every replay of it.
+    S3 = build_complex(itertools.combinations(range(500, 505), 4))
+    for recognise in (sphere_like, complex_invariant):
+        first, again = _Flag(), _Flag()
+        answer = recognise(S3, first)
+        assert first.heuristic
+        assert recognise(S3, again) == answer  # read from the memo
+        assert again.heuristic
+    assert sphere_like(S3) and complex_invariant(S3)[0] == "cx"
