@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .complexes import SimplicialComplex
+from .complexes import Simplex, SimplicialComplex
 from .errors import DimensionOutOfRange, UnsupportedCoefficients
 
 
@@ -69,11 +69,6 @@ class SparseMatrix:
                 raise ValueError("explicit zero entry")
             if not (0 <= r < self.nrows and 0 <= c < self.ncols):
                 raise ValueError("entry out of range")
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def times(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -315,19 +310,30 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def boundary_matrix(K: SimplicialComplex, i: int, ring: Ring = ZZ) -> SparseMatrix:
-    """Boundary ∂_i with signs from sorted vertex order; i = 0 maps to no rows."""
+def boundary_matrix(
+    K: SimplicialComplex,
+    i: int,
+    cols: Optional[List[Simplex]] = None,
+    rows: Optional[List[Simplex]] = None,
+) -> SparseMatrix:
+    """Boundary ∂_i with signs from sorted vertex order; i = 0 maps to no rows.
+
+    The columns are the i-simplices `cols` and the rows the (i−1)-simplices
+    `rows`, all of them when None.
+    """
     if i < 0 or i > K.dim:
         raise DimensionOutOfRange(f"no {i}-chains in a {K.dim}-complex")
-    rows = K.faces_of_dim(i - 1) if i > 0 else []
-    cols = K.faces_of_dim(i)
+    if rows is None:
+        rows = K.faces_of_dim(i - 1) if i > 0 else []
+    if cols is None:
+        cols = K.faces_of_dim(i)
     row_index = {s: j for j, s in enumerate(rows)}
     entries = {}
     for c, s in enumerate(cols):
         for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            if face:
-                entries[(row_index[face], c)] = (-1) ** j
+            r = row_index.get(s[:j] + s[j + 1 :])
+            if r is not None:
+                entries[(r, c)] = (-1) ** j
     return SparseMatrix(len(rows), len(cols), entries)
 
 

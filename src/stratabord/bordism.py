@@ -52,6 +52,7 @@ from .strat import (
     _Flag,
     components,
     extend_orientation_to_intrinsic,
+    filtered_by_depth,
     germ_partition,
     intrinsic_stratification,
     make_filtered,
@@ -280,26 +281,18 @@ def bordism_to_intrinsic(
     inv = {i: p for p, i in vmap.items()}
     N = n + 1
 
-    gens: Dict[int, List[Simplex]] = {}
-    for f in Yc.faces:
+    def depth(f: Simplex) -> int:
         xs, ts = _face_split(f, inv)
-        for j in range(N):
-            if (
-                (ts <= {1, 2} and xs in FX.skeleton(j - 1).faces)
-                or (ts <= {0, 1} and xs in FXstar.skeleton(j - 1).faces)
-                or (ts == {1} and xs in FX.skeleton(min(j, n - 1)).faces)
-            ):
-                gens.setdefault(j, []).append(f)
-                break
-    bgens = [f for f in Yc.faces if _face_split(f, inv)[1] in ({0}, {2})]
+        d, dstar = FX.depth[xs], FXstar.depth[xs]
+        return min(
+            d + 1 if ts <= {1, 2} else N,
+            dstar + 1 if ts <= {0, 1} else N,
+            d if ts == {1} and d < n else N,
+        )
 
-    FY = make_filtered(
-        Yc,
-        gens,
-        bgens,
-        None,
-        FX.classical,
-        FX.heuristic or FXstar.heuristic,
+    bgens = [f for f in Yc.faces if _face_split(f, inv)[1] in ({0}, {2})]
+    FY = filtered_by_depth(
+        Yc, depth, bgens, None, FX.classical, FX.heuristic or FXstar.heuristic
     )
     # Orientation: pin the level-2 copy to +O_X.
     sing = FY.skeleton(N - 1).faces
@@ -354,19 +347,19 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
     inv = {i: p for p, i in vmap.items()}
     B = FX.boundary if FX.boundary is not None else boundary_subcomplex(K)
 
-    gens: Dict[int, List[Simplex]] = {}
-    for f in Yc.faces:
-        xs, _ts = _face_split(f, inv)
-        for j in range(n + 1):
-            if xs in FX.skeleton(j - 1).faces:
-                gens.setdefault(j, []).append(f)
-                break
     bgens = []
     for f in Yc.faces:
         xs, ts = _face_split(f, inv)
         if ts in ({0}, {1}) or xs in B.faces:
             bgens.append(f)
-    FY = make_filtered(Yc, gens, bgens, None, FX.classical, FX.heuristic)
+    FY = filtered_by_depth(
+        Yc,
+        lambda f: FX.depth[_face_split(f, inv)[0]] + 1,
+        bgens,
+        None,
+        FX.classical,
+        FX.heuristic,
+    )
 
     oa = FX.orientation
     oy = None
@@ -395,24 +388,18 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
     }
     if not B.is_empty():
         # Side piece: the cylinder over the boundary, stratified by the
-        # induced boundary filtration shifted through the product.
+        # induced boundary filtration (depth one less than in X) shifted up
+        # one through the product.
         side_c, side_vmap = product_with_map(B, D1)
         side_inv = {i: p for p, i in side_vmap.items()}
-        sgens: Dict[int, List[Simplex]] = {}
-        for f in side_c.faces:
-            xs = tuple(sorted({side_inv[v][0] for v in f}))
-            for j in range(n):
-                # boundary skeleton index i = j-1 comes from X^{j} ∩ B
-                if xs in B.faces and xs in FX.skeleton(j).faces:
-                    sgens.setdefault(j, []).append(f)
-                    break
-        sbgens = [
-            f
-            for f in side_c.faces
-            if {side_inv[v][1] for v in f} in ({0}, {1})
-        ]
-        side_space = make_filtered(
-            side_c, sgens, sbgens, None, FX.classical, FX.heuristic
+        sbgens = [f for f in side_c.faces if _face_split(f, side_inv)[1] in ({0}, {1})]
+        side_space = filtered_by_depth(
+            side_c,
+            lambda f: FX.depth[_face_split(f, side_inv)[0]],
+            sbgens,
+            None,
+            FX.classical,
+            FX.heuristic,
         )
         side_iso = LabeledIsomorphism(
             {side_vmap[(x, t)]: vmap[(x, t)] for x in B.vertices for t in (0, 1)}
@@ -429,30 +416,20 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
 # Gluing
 
 
-def _filtration_labels(FX: FilteredComplex) -> Dict[int, int]:
-    """Per vertex, the least skeleton index containing it (for labeled isos)."""
-    out = {}
-    for v in FX.complex.vertices:
-        j = FX.dim
-        while j > 0 and (v,) in FX.skeleton(j - 1).faces:
-            j -= 1
-        out[v] = j
-    return out
-
-
 def stratified_isomorphism(
     F1: FilteredComplex, F2: FilteredComplex
 ) -> Optional[LabeledIsomorphism]:
-    """A simplicial isomorphism of carriers preserving the filtrations."""
-    m = isomorphic(
-        F1.complex, F2.complex, _filtration_labels(F1), _filtration_labels(F2)
-    )
-    if m is None:
+    """A simplicial isomorphism of carriers preserving the filtrations.
+
+    The vertex depths label the search; every face must keep its depth.
+    """
+
+    def labels(F: FilteredComplex) -> Dict[int, int]:
+        return {v: F.depth[(v,)] for v in F.complex.vertices}
+
+    m = isomorphic(F1.complex, F2.complex, labels(F1), labels(F2))
+    if m is None or any(F2.depth[m.apply(f)] != d for f, d in F1.depth.items()):
         return None
-    for j in range(max(F1.dim, F2.dim)):
-        img = {m.apply(f) for f in F1.skeleton(j).faces}
-        if img != set(F2.skeleton(j).faces):
-            return None
     return m
 
 
@@ -475,10 +452,7 @@ def glue(
     if l1 not in Y1.collars or l2 not in Y2.collars:
         raise CollarMissing("both glued pieces need collar certificates")
     if iso is None:
-        if (
-            p1.space.complex.facets == p2.space.complex.facets
-            and p1.space.same_filtration(p2.space)
-        ):
+        if p1.space.same_filtration(p2.space):
             iso = LabeledIsomorphism({v: v for v in p1.space.complex.vertices})
         else:
             iso = stratified_isomorphism(p1.space, p2.space)
@@ -630,13 +604,11 @@ def restratify_bordism(
         K2 = F.complex.relabel(vm)
         if K2.facets != target.complex.facets:
             raise DifferentCarrier(f"{side} isomorphism does not match the carrier")
-        sk = {}
-        for j in range(F.dim):
-            faces = F.skeleton(j).faces
-            if faces:
-                sk[j] = [tuple(sorted(vm[v] for v in f)) for f in faces]
+        depth = {tuple(sorted(vm[v] for v in f)): d for f, d in F.depth.items()}
         oa = None if F.orientation is None else F.orientation.relabel(vm)
-        return make_filtered(K2, sk, None, oa, F.classical, F.heuristic)
+        return filtered_by_depth(
+            K2, depth.__getitem__, None, oa, F.classical, F.heuristic
+        )
 
     Xp = cert.piece("plus")
     Zp = cert.piece("minus")
@@ -682,18 +654,13 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
     covered = set().union(*images) if images else set()
     checks["pieces_cover_boundary"] = covered == set(B.facets)
     checks["pieces_disjoint"] = sum(map(len, images)) == len(covered)
-    ok_filt = True
-    for p in cert.pieces:
-        for j in range(p.space.dim + 1):
-            img = {p.iso.apply(f) for f in p.space.skeleton(j).faces}
-            induced = {
-                p.iso.apply(f)
-                for f in p.space.complex.faces
-                if p.iso.apply(f) in cert.Y.skeleton(j + 1).faces
-            }
-            if img != induced:
-                ok_filt = False
-    checks["induced_filtrations_match"] = ok_filt
+    # A piece's skeleton j is X^{j+1} ∩ piece: depths drop by one, down to 0.
+    dY = cert.Y.depth
+    checks["induced_filtrations_match"] = all(
+        p.iso.apply(f) in dY and d == max(dY[p.iso.apply(f)] - 1, 0)
+        for p in cert.pieces
+        for f, d in p.space.depth.items()
+    )
     checks["collars_present"] = all(p.label in cert.collars for p in cert.pieces)
     checks["corner_scheme_valid"] = all(
         verify_corner_unfolding()

@@ -459,8 +459,8 @@ def f_membership(
                 )
         return _yes(f"all interior links lie in {E.name}", flag.heuristic)
     if via == "polyhedral":
-        for f in singular_faces(K, flag, keep=lambda f: f not in B.faces):
-            v = g_of_e_membership(polyhedral_link(K, f), E)
+        for f, L in singular_faces(K, flag, keep=lambda f: f not in B.faces):
+            v = g_of_e_membership(polyhedral_link(L, len(f) - 1), E)
             heur = flag.heuristic or v.heuristic
             if not v:
                 return _no(

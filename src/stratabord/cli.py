@@ -4,8 +4,7 @@ classify / bordism / glue / catalog with JSON I/O and deterministic reports.
 Exit codes: 0 success or positive verdict, 1 negative verdict, 2 usage or
 I/O error, 3 internal invariant breach.  All algorithms are deterministic;
 `--jobs` is accepted for interface stability but work is sequential, so
-results are independent of it.  The environment variable STRATA_SUBDIV_LIMIT
-caps automatic barycentric subdivisions (default 2).
+results are independent of it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from . import algebra, bordism, catalog, classes, ih, jsonio
 from .classes import SingularityClass
@@ -32,10 +31,6 @@ from .strat import (
 )
 
 
-class _Negative(Exception):
-    """Raised internally to signal a negative verdict (exit code 1)."""
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -52,11 +47,13 @@ def _read(ref: str) -> str:
 def _load_space(ref: str) -> Tuple[FilteredComplex, str]:
     """A filtered complex from a JSON file or a catalog:NAME[:k] reference."""
     if ref.startswith("catalog:"):
-        parts = ref.split(":")
-        entry = catalog.get(parts[1])
-        k = int(parts[2]) if len(parts) > 2 else 0
+        _, name, *rest = ref.split(":")
+        if len(rest) > 1 or not all(r.removeprefix("-").isdecimal() for r in rest):
+            raise StrataError(f"{ref!r} is not catalog:NAME or catalog:NAME:k")
+        entry = catalog.get(name)
+        k = int(rest[0]) if rest else 0
         if k < 0 or k >= len(entry.stratifications):
-            raise UnknownName(f"{parts[1]} has no stratification {k}")
+            raise UnknownName(f"{name} has no stratification {k}")
         return entry.stratifications[k], _digest(ref)
     text = _read(ref)
     doc = jsonio.loads(text)

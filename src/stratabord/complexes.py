@@ -339,9 +339,6 @@ class OrientationAssignment:
     def reversed(self) -> "OrientationAssignment":
         return OrientationAssignment({f: -s for f, s in self.signs.items()})
 
-    def restrict(self, facets: Iterable[Simplex]) -> "OrientationAssignment":
-        return OrientationAssignment({f: self.signs[f] for f in facets})
-
     def relabel(self, vmap: Dict[int, int]) -> "OrientationAssignment":
         """Signs carried through the injective vertex map vmap.
 

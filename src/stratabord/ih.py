@@ -10,11 +10,11 @@ barycentric subdivision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import algebra
 from .algebra import Ring, SparseMatrix, ZZ
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex
 from .errors import NotValidated, PerversityViolation
 from .strat import FilteredComplex, subdivide_filtered
 
@@ -76,18 +76,10 @@ class IHGroup:
 
 
 def is_full(FX: FilteredComplex) -> bool:
-    """No simplex has all its vertices in a skeleton without lying in it."""
-    K = FX.complex
-    n = FX.dim
-    for j in range(n):
-        sk = FX.skeleton(j)
-        if sk.is_empty():
-            continue
-        vs = set(sk.vertices)
-        for f in K.faces:
-            if f not in sk.faces and all(v in vs for v in f):
-                return False
-    return True
+    """No simplex has all its vertices in a skeleton without lying in it:
+    no face is deeper than the deepest of its vertices."""
+    depth = FX.depth
+    return all(d <= max(depth[(v,)] for v in f) for f, d in depth.items())
 
 
 def ensure_full(FX: FilteredComplex) -> FilteredComplex:
@@ -127,23 +119,6 @@ def allowable_simplices(FX: FilteredComplex, p: Perversity) -> List[List[Simplex
     return out
 
 
-def _restricted_boundary(
-    K: SimplicialComplex, i: int, cols: List[Simplex], rows: Optional[List[Simplex]]
-) -> SparseMatrix:
-    """∂_i with columns restricted to cols and rows to rows (None = all)."""
-    all_rows = K.faces_of_dim(i - 1) if i > 0 else []
-    if rows is None:
-        rows = all_rows
-    ridx = {s: j for j, s in enumerate(rows)}
-    entries = {}
-    for c, s in enumerate(cols):
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            if face in ridx:
-                entries[(ridx[face], c)] = (-1) ** j
-    return SparseMatrix(len(rows), len(cols), entries)
-
-
 def _field_ranks(FX, p, ring) -> List[int]:
     K = FX.complex
     n = FX.dim
@@ -155,11 +130,11 @@ def _field_ranks(FX, p, ring) -> List[int]:
         cols = allow[i]
         if not cols:
             continue
-        M = _restricted_boundary(K, i, cols, None)
+        M = algebra.boundary_matrix(K, i, cols)
         full_rank[i] = algebra.rank_over(M, ring)
         bad_rows = [s for s in K.faces_of_dim(i - 1) if s not in allow_sets[i - 1]]
         if bad_rows:
-            N = _restricted_boundary(K, i, cols, bad_rows)
+            N = algebra.boundary_matrix(K, i, cols, bad_rows)
             bad_rank[i] = algebra.rank_over(N, ring)
     ranks = []
     for i in range(n + 1):
@@ -186,7 +161,7 @@ def _integral_groups(FX, p) -> List[Tuple[int, Tuple[int, ...]]]:
             else []
         )
         if bad_rows:
-            N = _restricted_boundary(K, i, cols, bad_rows)
+            N = algebra.boundary_matrix(K, i, cols, bad_rows)
             bases.append(algebra.kernel_basis(N))
         else:
             bases.append(algebra.identity_matrix(len(cols)))
@@ -196,7 +171,7 @@ def _integral_groups(FX, p) -> List[Tuple[int, Tuple[int, ...]]]:
         if dims[i] == 0 or dims[i - 1] == 0:
             boundaries.append(None)
             continue
-        D = _restricted_boundary(K, i, allow[i], allow[i - 1])
+        D = algebra.boundary_matrix(K, i, allow[i], allow[i - 1])
         B = D.times(bases[i])
         boundaries.append(algebra.solve_exact(bases[i - 1], B))
     groups = algebra.homology_of_chain_complex(dims, boundaries, ZZ)

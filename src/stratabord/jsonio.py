@@ -9,6 +9,9 @@ field, a vertex that is not an integer, a simplex that repeats a vertex, an
 orientation sign other than ±1, an orientation that misses a facet, a
 `skeleta` that is not a list, a `classical` or `heuristic` that is not a
 boolean and a certificate field of the wrong type raise MalformedFiltration.
+A skeleton or boundary simplex outside the carrier raises SimplexNotFound.
+A piece's `iso` must map each vertex of its space exactly once, and a collar's
+`kind` is "product" or "corner".
 """
 
 from __future__ import annotations
@@ -133,7 +136,9 @@ def filtration_to_json(FX: FilteredComplex) -> Dict[str, Any]:
 def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
     _check_type(doc, "filtered_complex")
     K = _complex_from_facets(_field(doc, "facets"))
-    skeleta = tuple(map(_complex_from_facets, _optional_field(doc, "skeleta", list, [])))
+    skeleta = tuple(
+        K.subcomplex(_simplices(sk)) for sk in _optional_field(doc, "skeleta", list, [])
+    )
     boundary = doc.get("boundary")
     B = None if boundary is None else K.subcomplex(_simplices(boundary))
     return FilteredComplex(
@@ -173,15 +178,23 @@ def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
     for p in _field(doc, "pieces", list):
         if not _is_sign(_field(p, "sign")):
             raise MalformedFiltration("a piece's sign must be +1 or -1")
-        iso = LabeledIsomorphism(dict(_int_pairs(_field(p, "iso"), "a piece's iso")))
+        pairs = _int_pairs(_field(p, "iso"), "a piece's iso")
         space = filtration_from_json(_field(p, "space"))
-        pieces.append(BoundaryPiece(_field(p, "label"), space, iso, p["sign"]))
-    collars = {
-        label: CollarCertificate(_field(c, "kind"), _int_pairs(_field(c, "data"), "collar data"))
-        for label, c in _field(doc, "collars", dict).items()
-    }
+        if sorted(a for a, _b in pairs) != list(space.complex.vertices):
+            raise MalformedFiltration("a piece's iso must map each vertex once")
+        iso = LabeledIsomorphism(dict(pairs))
+        pieces.append(BoundaryPiece(_field(p, "label", str), space, iso, p["sign"]))
+    collars = {}
+    for label, c in _field(doc, "collars", dict).items():
+        kind = _field(c, "kind", str)
+        if kind not in ("product", "corner"):
+            raise MalformedFiltration("a collar's kind must be 'product' or 'corner'")
+        data = _int_pairs(_field(c, "data"), "collar data")
+        collars[label] = CollarCertificate(kind, data)
     carrier = filtration_from_json(_field(doc, "carrier"))
-    return BordismCertificate(carrier, tuple(pieces), collars, _field(doc, "provenance"))
+    return BordismCertificate(
+        carrier, tuple(pieces), collars, _field(doc, "provenance", str)
+    )
 
 
 def dumps(doc: Any) -> str:

@@ -12,7 +12,6 @@ integral homology and results carry a `heuristic` flag.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -39,11 +38,8 @@ from .errors import (
 )
 
 
-def subdiv_limit() -> int:
-    try:
-        return int(os.environ.get("STRATA_SUBDIV_LIMIT", "2"))
-    except ValueError:
-        return 2
+# Barycentric subdivisions `stratum_link` may take to find a top simplex.
+SUBDIV_LIMIT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +71,19 @@ class FilteredComplex:
     def singular_set(self) -> SimplicialComplex:
         return self.skeleton(self.dim - 1)
 
+    @functools.cached_property
+    def depth(self) -> Dict[Simplex, int]:
+        """For each face of the carrier, the least j with the face in X^j.
+
+        This is the dimension of the stratum that holds the open face.
+        """
+        out = dict.fromkeys(self.complex.faces, self.dim)
+        for j in reversed(range(self.dim)):
+            out.update(dict.fromkeys(self.skeleton(j).faces, j))
+        return out
+
     def same_filtration(self, other: "FilteredComplex") -> bool:
-        if self.complex.facets != other.complex.facets:
-            return False
-        n = max(self.dim, other.dim)
-        return all(
-            self.skeleton(j).faces == other.skeleton(j).faces for j in range(n)
-        )
+        return self.complex.facets == other.complex.facets and self.depth == other.depth
 
 
 def make_filtered(
@@ -114,6 +116,22 @@ def make_filtered(
     return FilteredComplex(K, tuple(out), B, orientation, classical, heuristic)
 
 
+def filtered_by_depth(
+    K: SimplicialComplex,
+    depth: Callable[[Simplex], int],
+    boundary: Optional[Iterable[Simplex]] = None,
+    orientation: Optional[OrientationAssignment] = None,
+    classical: bool = True,
+    heuristic: bool = False,
+) -> FilteredComplex:
+    """The filtration whose skeleton j is generated by the faces f of K with
+    depth(f) ≤ j; a negative depth counts as 0."""
+    gens: Dict[int, List[Simplex]] = {}
+    for f in K.faces:
+        gens.setdefault(max(depth(f), 0), []).append(f)
+    return make_filtered(K, gens, boundary, orientation, classical, heuristic)
+
+
 def trivial_filtration(
     K: SimplicialComplex,
     boundary: Optional[Iterable[Simplex]] = None,
@@ -123,28 +141,18 @@ def trivial_filtration(
 
 
 def subdivide_filtered(FX: FilteredComplex):
-    """Barycentric subdivision with the induced filtration; returns (FX', provenance)."""
+    """Barycentric subdivision with the induced filtration; returns (FX', provenance).
+
+    A chain of faces lies in X^j, or in ∂X, when its largest face does.
+    Vertex ids grow with face size, so that face is the last vertex's.
+    """
     K2, prov = barycentric_subdivision(FX.complex)
-    n = FX.dim
-    face_vertex = {f: v for v, f in prov.items()}
-
-    def push(sub: SimplicialComplex) -> List[Simplex]:
-        gens = []
-        for f in K2.facets:
-            if all(prov[v] in sub.faces for v in f):
-                gens.append(f)
-        # Also keep lower-dimensional pieces that are not under any facet.
-        for f in sub.faces:
-            gens.append((face_vertex[f],))
-        return gens
-
-    skeleta = {}
-    for j in range(n):
-        sk = FX.skeleton(j)
-        if not sk.is_empty():
-            skeleta[j] = push(sk)
-    boundary = push(FX.boundary) if FX.boundary is not None else None
-    out = make_filtered(K2, skeleta, boundary, None, FX.classical, FX.heuristic)
+    boundary = None
+    if FX.boundary is not None:
+        boundary = [c for c in K2.faces if prov[c[-1]] in FX.boundary.faces]
+    out = filtered_by_depth(
+        K2, lambda c: FX.depth[prov[c[-1]]], boundary, None, FX.classical, FX.heuristic
+    )
     return out, prov
 
 
@@ -229,29 +237,27 @@ def _restrict_to_skeleta(
     overcount: a link simplex can lie in the closure of a neighboring stratum
     without the germ at s pointing into it.)
     """
-    n = FX.dim
-    base_dim = len(s) - 1
-    m = n - base_dim - 1
-    skeleta = {}
-    for t in range(m):
-        sk = FX.skeleton(base_dim + 1 + t)
-        gens = [f for f in L.faces if tuple(sorted(f + s)) in sk.faces]
-        if gens:
-            skeleta[t] = gens
-    return make_filtered(L, skeleta, None, None, FX.classical, FX.heuristic)
+    return filtered_by_depth(
+        L,
+        lambda f: FX.depth[tuple(sorted(f + s))] - len(s),
+        None,
+        None,
+        FX.classical,
+        FX.heuristic,
+    )
 
 
 def stratum_link(FX: FilteredComplex, S: Stratum) -> FilteredComplex:
     """Link of a top simplex of the stratum, with the induced shifted filtration.
 
     If the stratum has no top simplex, the complex is barycentrically
-    subdivided (bounded by STRATA_SUBDIV_LIMIT) until one exists.
+    subdivided (at most SUBDIV_LIMIT times) until one exists.
     """
     if S.regular:
         return trivial_filtration(empty_complex(-1))
     cur, cur_S, rounds = FX, S, 0
     while not cur_S.top_simplices:
-        if rounds >= subdiv_limit():
+        if rounds >= SUBDIV_LIMIT:
             raise NoTopSimplex("stratum has no top simplex within the subdivision limit")
         ref = max(cur_S.simplices, key=len)
         cur, prov = subdivide_filtered(cur)
@@ -414,25 +420,25 @@ def complex_invariant(K: SimplicialComplex, flag: _Flag):
 
 def singular_faces(
     K: SimplicialComplex, flag: _Flag, keep: Optional[Callable[[Simplex], bool]] = None
-) -> Iterator[Simplex]:
-    """The faces of K that pass `keep` and whose link is not a sphere.
+) -> Iterator[Tuple[Simplex, SimplicialComplex]]:
+    """(face, link) for the faces of K that pass `keep` and whose link is not a sphere.
 
     They come largest first, then in lexicographic order.  This is the one
     place where face links are recognised as spheres.
     """
     for f in sorted(K.faces, key=lambda f: (-len(f), f)):
-        if (keep is None or keep(f)) and not sphere_like(link(K, f), flag):
-            yield f
+        if keep is None or keep(f):
+            L = link(K, f)
+            if not sphere_like(L, flag):
+                yield f, L
 
 
-def polyhedral_link(K: SimplicialComplex, s: Simplex) -> SimplicialComplex:
-    """The polyhedral link of an interior point of the face s.
+def polyhedral_link(L: SimplicialComplex, d: int) -> SimplicialComplex:
+    """The polyhedral link of an interior point of a d-face whose link is L.
 
-    It is S^{d−1} * link(s) for d = dim s, materialized with an octahedral
-    sphere factor so that literal join structure survives.
+    It is S^{d−1} * L, materialized with an octahedral sphere factor so that
+    literal join structure survives.
     """
-    L = link(K, s)
-    d = len(s) - 1
     return L if d == 0 else join(octahedral_sphere(d), L)
 
 
@@ -449,8 +455,8 @@ def germ_partition(
     if flag is None:
         flag = _Flag()
     inv = {
-        f: complex_invariant(polyhedral_link(K, f), flag)
-        for f in singular_faces(K, flag, keep)
+        f: complex_invariant(polyhedral_link(L, len(f) - 1), flag)
+        for f, L in singular_faces(K, flag, keep)
     }
     same = ((s, f) for s, f in _face_edges(inv) if inv[s] == inv[f])
     return [(inv[faces[0]], faces) for faces in components(inv, same)]
@@ -775,15 +781,12 @@ def validate_stratified_pseudomanifold(
             B = FX.boundary
             # Induced filtration B^i = X^{i+1} ∩ B must make B a closed
             # stratified pseudomanifold of dimension n−1.
-            bsk = {}
-            for i in range(n - 1):
-                gens = [f for f in B.faces if f in FX.skeleton(i + 1).faces]
-                if gens:
-                    bsk[i] = gens
             if B.dim != n - 1:
                 ok_g, det_g = False, f"boundary has dimension {B.dim}"
             else:
-                BF = make_filtered(B, bsk, None, None, FX.classical)
+                BF = filtered_by_depth(
+                    B, lambda f: FX.depth[f] - 1, classical=FX.classical
+                )
                 rep = validate_stratified_pseudomanifold(BF, "closed", _depth + 1)
                 if rep.heuristic:
                     flag.heuristic = True

@@ -4,13 +4,42 @@ import random
 import pytest
 
 from stratabord import catalog
-from stratabord.complexes import OrientationAssignment, boundary_subcomplex, build_complex
+from stratabord.bordism import bordism_to_intrinsic
+from stratabord.complexes import (
+    OrientationAssignment,
+    boundary_subcomplex,
+    build_complex,
+    cone,
+    orient,
+)
+from stratabord.strat import make_filtered
 
 
 @pytest.fixture(scope="session")
 def entries():
     """All catalog entries, loaded (and self-verified) once per session."""
     return {name: catalog.get(name) for name in catalog.names()}
+
+
+@pytest.fixture(scope="session")
+def sigma_t2_carriers(entries):
+    """The carriers of the bordisms from each Σ T² stratification to Σ T²*."""
+    return [bordism_to_intrinsic(FX).Y for FX in entries["Sigma-T2"].stratifications]
+
+
+def cones_with_boundary(entries, names=("S1", "S2", "T2", "Sigma-S1")):
+    """The oriented cone cX on each stratification of the named entries, with
+    (cX)^{j+1} the cone on X^j, the apex a 0-stratum and X the boundary."""
+    out = []
+    for name in names:
+        for FX in entries[name].stratifications:
+            K = cone(FX.complex)
+            apex = max(K.vertices)
+            skeleta = {0: [(apex,)]}
+            for j in range(FX.dim):
+                skeleta[j + 1] = [f + (apex,) for f in FX.skeleton(j).faces]
+            out.append(make_filtered(K, skeleta, FX.complex.facets, orient(K)))
+    return out
 
 
 def random_complex(rng: random.Random, nverts: int = 6, nfacets: int = 5, dim: int = 2):

@@ -7,11 +7,13 @@ import dataclasses
 
 import pytest
 
-from conftest import flip_interior_sign
+from conftest import cones_with_boundary, flip_interior_sign
 from stratabord import catalog
 from stratabord.algebra import ZZ, homology
 from stratabord.bordism import (
+    _PATH3,
     CORNER_UNFOLDING,
+    _face_split,
     bordism_between_stratifications,
     bordism_to_intrinsic,
     cylinder,
@@ -19,10 +21,16 @@ from stratabord.bordism import (
     half_intrinsic_suspension,
     restratify_bordism,
     reverse_certificate,
+    stratified_isomorphism,
     verify_certificate,
     verify_corner_unfolding,
 )
-from stratabord.complexes import build_complex, suspension_poles
+from stratabord.complexes import (
+    boundary_subcomplex,
+    build_complex,
+    product_with_map,
+    suspension_poles,
+)
 from stratabord.iso import LabeledIsomorphism
 from stratabord.errors import (
     DifferentCarrier,
@@ -30,6 +38,7 @@ from stratabord.errors import (
     SignClash,
 )
 from stratabord.strat import (
+    intrinsic_stratification,
     make_filtered,
     strata,
     trivial_filtration,
@@ -226,3 +235,97 @@ def test_missing_collar_detected(entries):
     rep = verify_certificate(bad)
     assert not rep.passed
     assert not rep.checks["collars_present"]
+
+
+def _old_bordism_skeleta(FX):
+    """The X -> X* carrier's generators per skeleton, found as
+    `bordism_to_intrinsic` found them with a loop over j, kept as an oracle."""
+    FXstar = intrinsic_stratification(FX.complex)
+    Yc, vmap = product_with_map(FX.complex, _PATH3)
+    inv = {i: p for p, i in vmap.items()}
+    n = FX.dim
+    gens = {}
+    for f in Yc.faces:
+        xs, ts = _face_split(f, inv)
+        for j in range(n + 1):
+            if (
+                (ts <= {1, 2} and xs in FX.skeleton(j - 1).faces)
+                or (ts <= {0, 1} and xs in FXstar.skeleton(j - 1).faces)
+                or (ts == {1} and xs in FX.skeleton(min(j, n - 1)).faces)
+            ):
+                gens.setdefault(j, []).append(f)
+                break
+    return make_filtered(Yc, gens).skeleta
+
+
+def _old_cylinder_skeleta(FX):
+    """The cylinder's and its side piece's generators per skeleton, found as
+    `cylinder` found them with a loop over j, kept as an oracle."""
+    n = FX.dim
+    D1 = build_complex([(0, 1)])
+    Yc, vmap = product_with_map(FX.complex, D1)
+    inv = {i: p for p, i in vmap.items()}
+    gens = {}
+    for f in Yc.faces:
+        xs, _ts = _face_split(f, inv)
+        for j in range(n + 1):
+            if xs in FX.skeleton(j - 1).faces:
+                gens.setdefault(j, []).append(f)
+                break
+    B = FX.boundary if FX.boundary is not None else boundary_subcomplex(FX.complex)
+    if B.is_empty():
+        return make_filtered(Yc, gens).skeleta, None
+    side_c, side_vmap = product_with_map(B, D1)
+    side_inv = {i: p for p, i in side_vmap.items()}
+    sgens = {}
+    for f in side_c.faces:
+        xs = tuple(sorted({side_inv[v][0] for v in f}))
+        for j in range(n):
+            if xs in B.faces and xs in FX.skeleton(j).faces:
+                sgens.setdefault(j, []).append(f)
+                break
+    return make_filtered(Yc, gens).skeleta, make_filtered(side_c, sgens).skeleta
+
+
+def test_bordism_and_cylinder_filtrations_match_the_old_loops(entries, sigma_t2_carriers):
+    for name in ("S2", "T2", "Sigma-S1", "Sigma-T2"):
+        for FX in entries[name].stratifications:
+            assert bordism_to_intrinsic(FX).Y.skeleta == _old_bordism_skeleta(FX)
+    names = ("S2", "RP2", "Sigma-T2")
+    spaces = [FX for name in names for FX in entries[name].stratifications]
+    for FX in spaces + sigma_t2_carriers + cones_with_boundary(entries):
+        cert = cylinder(FX)
+        skeleta, side = _old_cylinder_skeleta(FX)
+        assert cert.Y.skeleta == skeleta
+        if side is not None:
+            assert cert.piece("side").space.skeleta == side
+
+
+def test_trivialised_piece_filtration_fails_verification(entries):
+    cert = bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0])
+    for label in ("plus", "minus"):
+        p = cert.piece(label)
+        flat = trivial_filtration(p.space.complex, orientation=p.space.orientation)
+        pieces = tuple(
+            dataclasses.replace(q, space=flat) if q.label == label else q
+            for q in cert.pieces
+        )
+        rep = verify_certificate(dataclasses.replace(cert, pieces=pieces))
+        assert not rep.checks["induced_filtrations_match"], label
+        assert all(v for k, v in rep.checks.items() if k != "induced_filtrations_match")
+
+
+def test_stratified_isomorphism_respects_the_filtration(entries):
+    FX, refined = entries["Sigma-T2"].stratifications
+    _vmap, moved = swap_two_smallest(FX)
+    m = stratified_isomorphism(FX, moved)
+    assert m is not None
+    assert all(moved.depth[m.apply(f)] == d for f, d in FX.depth.items())
+    assert stratified_isomorphism(FX, refined) is None  # one more 0-stratum
+    assert stratified_isomorphism(FX, trivial_filtration(FX.complex)) is None
+    # Equal vertex depths, but the edge 01 lies in X^1 on one side only.
+    K = entries["S2"].complex
+    poles = make_filtered(K, {0: [(0,), (1,)]})
+    edge = make_filtered(K, {0: [(0,), (1,)], 1: [(0, 1)]})
+    assert stratified_isomorphism(poles, poles) is not None
+    assert stratified_isomorphism(poles, edge) is None

@@ -215,6 +215,13 @@ WRONG_TYPES = {
     "collar_data_not_pairs": lambda d: d["collars"]["plus"].update(data=[0, 1]),
     "sign_two": lambda d: d["pieces"][0].update(sign=2),
     "sign_true": lambda d: d["pieces"][0].update(sign=True),
+    "iso_misses_a_vertex": lambda d: d["pieces"][0]["iso"].pop(0),
+    "iso_repeats_a_vertex": lambda d: d["pieces"][0]["iso"][1].__setitem__(0, 0),
+    "skeleton_off_carrier": lambda d: d["pieces"][0]["space"].update(skeleta=[[[999]], []]),
+    "label_list": lambda d: d["pieces"][0].update(label=[1]),
+    "collar_kind_int": lambda d: d["collars"]["plus"].update(kind=5),
+    "collar_kind_unknown": lambda d: d["collars"]["plus"].update(kind="twisted"),
+    "provenance_list": lambda d: d.update(provenance=[1]),
 }
 
 
@@ -224,6 +231,11 @@ def test_certificate_field_of_wrong_type_is_usage_error(name, cylinder_doc, tmp_
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cylinder_doc))
     assert_usage_error(["bordism", "verify", str(path)], capsys)
+
+
+@pytest.mark.parametrize("ref", ["catalog:S2:x", "catalog:S2:1:2", "catalog:S2:"])
+def test_malformed_catalog_reference_is_usage_error(ref, capsys):
+    assert_usage_error(["validate", ref], capsys)
 
 
 def test_glue_two_cylinders(tmp_path, capsys):

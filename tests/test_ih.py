@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cones_with_boundary
 from stratabord import catalog
 from stratabord.algebra import GF, QQ, ZZ
 from stratabord.complexes import build_complex, cone, suspension, suspension_poles
@@ -73,6 +74,27 @@ def test_refined_filtration_needs_subdivision():
     full = ensure_full(FX)
     assert is_full(full)
     assert full.complex.euler_characteristic() == FX.complex.euler_characteristic()
+
+
+def _old_is_full(FX):
+    """Fullness as `is_full` tested it with a loop over the skeleta, kept
+    here as an oracle."""
+    for j in range(FX.dim):
+        sk = FX.skeleton(j)
+        vs = set(sk.vertices)
+        if any(f not in sk.faces and set(f) <= vs for f in FX.complex.faces):
+            return False
+    return True
+
+
+def test_is_full_matches_the_old_loop(entries, sigma_t2_carriers):
+    spaces = [FX for entry in entries.values() for FX in entry.stratifications]
+    spaces += sigma_t2_carriers + cones_with_boundary(entries)
+    # Both ends of the edge 01 lie in X^0, the edge itself only in X^1.
+    spaces.append(make_filtered(entries["S2"].complex, {0: [(0,), (1,)], 1: [(0, 1)]}))
+    verdicts = [is_full(FX) for FX in spaces]
+    assert verdicts == [_old_is_full(FX) for FX in spaces]
+    assert True in verdicts and False in verdicts
 
 
 def test_allowability_monotone_in_perversity():

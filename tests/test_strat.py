@@ -11,8 +11,10 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratabord import catalog
-from stratabord.bordism import bordism_to_intrinsic
+from conftest import cones_with_boundary
+from stratabord import catalog, strat
+from stratabord.algebra import QQ
+from stratabord.bordism import bordism_to_intrinsic, cylinder
 from stratabord.complexes import (
     boundary_subcomplex,
     build_complex,
@@ -28,9 +30,11 @@ from stratabord.errors import (
     MalformedFiltration,
     NotPseudomanifold,
 )
+from stratabord.ih import intersection_homology, lower_middle, upper_middle
 from stratabord.strat import (
     FilteredComplex,
     _Flag,
+    _restrict_to_skeleta,
     coarsens,
     complex_invariant,
     connected_components,
@@ -44,6 +48,7 @@ from stratabord.strat import (
     ball_like,
     strata,
     stratum_link,
+    subdivide_filtered,
     trivial_filtration,
     validate_stratified_pseudomanifold,
 )
@@ -397,3 +402,86 @@ def test_memo_replays_the_heuristic_flag():
         assert recognise(S3, again) == answer  # read from the memo
         assert again.heuristic
     assert sphere_like(S3) and complex_invariant(S3)[0] == "cx"
+
+
+def _least_skeleton(FX, f):
+    return next(j for j in range(FX.dim + 1) if f in FX.skeleton(j).faces)
+
+
+def test_depth_is_the_least_skeleton_holding_the_face(entries, sigma_t2_carriers):
+    spaces = [FX for entry in entries.values() for FX in entry.stratifications]
+    for FX in spaces + sigma_t2_carriers:
+        assert FX.depth == {f: _least_skeleton(FX, f) for f in FX.complex.faces}
+
+
+def _old_link_filtration(FX, L, s):
+    """The link filtration as `_restrict_to_skeleta` built it with a loop
+    over the skeleta, kept here as an oracle."""
+    base_dim = len(s) - 1
+    skeleta = {}
+    for t in range(FX.dim - base_dim - 1):
+        sk = FX.skeleton(base_dim + 1 + t)
+        gens = [f for f in L.faces if tuple(sorted(f + s)) in sk.faces]
+        if gens:
+            skeleta[t] = gens
+    return make_filtered(L, skeleta, None, None, FX.classical, FX.heuristic)
+
+
+def _old_boundary_filtration(FX):
+    """Clause (g)'s boundary filtration B^i = X^{i+1} ∩ B as the validator
+    built it with a loop over the skeleta, kept here as an oracle."""
+    B = FX.boundary
+    bsk = {}
+    for i in range(FX.dim - 1):
+        gens = [f for f in B.faces if f in FX.skeleton(i + 1).faces]
+        if gens:
+            bsk[i] = gens
+    return make_filtered(B, bsk, None, None, FX.classical)
+
+
+def test_link_and_boundary_filtrations_match_the_old_loops(
+    entries, sigma_t2_carriers, monkeypatch
+):
+    spaces = [FX for entry in entries.values() for FX in entry.stratifications]
+    with_boundary = sigma_t2_carriers + cones_with_boundary(entries)
+    for FX in spaces + with_boundary:
+        for s in FX.complex.faces:
+            L = link(FX.complex, s)
+            assert _restrict_to_skeleta(FX, L, s) == _old_link_filtration(FX, L, s)
+    # The validator hands its boundary filtration to its last recursive call.
+    validate = strat.validate_stratified_pseudomanifold
+    seen = []
+
+    def recording(FX, mode="closed", _depth=0):
+        seen.append((FX, _depth))
+        return validate(FX, mode, _depth)
+
+    monkeypatch.setattr(strat, "validate_stratified_pseudomanifold", recording)
+    cylinders = [cylinder(FX).Y for FX in spaces[:4]]  # over S¹, S² (twice) and S³
+    for FX in cones_with_boundary(entries) + cylinders:
+        seen.clear()
+        assert validate(FX, "with-boundary").passed
+        assert [F for F, d in seen if d == 1][-1] == _old_boundary_filtration(FX)
+
+
+def test_subdivide_filtered_keeps_every_skeleton_and_the_boundary(sigma_t2_carriers):
+    # The 3-dimensional cylinder over Σ S¹ has skeleta of dimension [-1, 1, 1]
+    # and a 2-dimensional boundary.  A chain of faces lies in X^j, or in ∂X,
+    # exactly when every face in it does.
+    Y = cylinder(catalog.get("Sigma-S1").stratifications[0]).Y
+    for FX in (Y, sigma_t2_carriers[0]):
+        sub, prov = subdivide_filtered(FX)
+
+        def chains_in(A):
+            return {c for c in sub.complex.faces if all(prov[v] in A for v in c)}
+
+        for j in range(FX.dim):
+            assert sub.skeleton(j).faces == chains_in(FX.skeleton(j)), j
+        assert sub.boundary.faces == chains_in(FX.boundary)
+    sub, _prov = subdivide_filtered(Y)
+    assert [sub.skeleton(j).dim for j in range(3)] == [-1, 1, 1]
+    assert sub.boundary.dim == 2
+    assert validate_stratified_pseudomanifold(Y, "with-boundary").passed
+    assert validate_stratified_pseudomanifold(sub, "with-boundary").passed
+    for p in (lower_middle(3), upper_middle(3)):
+        assert intersection_homology(sub, p, QQ) == intersection_homology(Y, p, QQ)
