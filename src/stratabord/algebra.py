@@ -38,8 +38,39 @@ ZZ = Ring("Z")
 QQ = Ring("Q")
 
 
+# Moduli must lie below this bound; Miller–Rabin with the prime bases up to
+# 37 decides primality exactly there.
+MODULUS_BOUND = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller–Rabin, exact for p < 2⁶⁴."""
+    if p < 2:
+        return False
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def GF(p: int) -> Ring:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p >= MODULUS_BOUND:
+        raise UnsupportedCoefficients(f"modulus {p} is not below 2^64")
+    if not _is_prime(p):
         raise UnsupportedCoefficients(f"{p} is not prime")
     return Ring("Fp", p)
 
@@ -50,10 +81,12 @@ def parse_ring(text: str) -> Ring:
         return ZZ
     if t in ("Q", "QQ"):
         return QQ
-    if t.startswith("F") and t[1:].isdigit():
-        return GF(int(t[1:]))
-    if t.startswith("Z") and t[1:].isdigit():
-        return GF(int(t[1:]))
+    digits = t[1:]
+    if t[:1] in ("F", "Z") and digits.isdecimal():
+        # Read no more digits than a modulus below 2^64 can have.
+        if len(digits.lstrip("0")) > len(str(MODULUS_BOUND)):
+            raise UnsupportedCoefficients(f"a modulus of {len(digits)} digits is not below 2^64")
+        return GF(int(digits))
     raise UnsupportedCoefficients(f"unknown ring {text!r}")
 
 

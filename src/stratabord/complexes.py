@@ -15,6 +15,7 @@ They rely on the facets being maximal: `build_complex` makes them so, and
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -298,6 +299,57 @@ def barycentric_subdivision(K: SimplicialComplex):
             chain = [vertex_of[tuple(sorted(perm[: k + 1]))] for k in range(len(perm))]
             facets.append(chain)
     return build_complex(facets), provenance
+
+
+def collapses_to_point(K: SimplicialComplex, drop: Optional[Simplex] = None) -> bool:
+    """Does a greedy sequence of elementary collapses take K, with the open
+    facet `drop` removed first, down to a single vertex?
+
+    A face is free when it lies in exactly one other face, a maximal face
+    one dimension up; collapsing removes the pair.  Free faces are taken
+    first in, first out from a queue filled in sorted order, so the sequence
+    is deterministic.  True is a proof (a collapsible complex is
+    contractible); False only means this sequence got stuck, as it must on
+    the dunce hat.
+    """
+    up: Dict[Simplex, List[Simplex]] = {f: [] for f in K.faces}
+    if drop is not None:
+        del up[drop]
+    for f in up:
+        if len(f) > 1:
+            for g in itertools.combinations(f, len(f) - 1):
+                up[g].append(f)
+    # For each face left, the number of its cofaces left.
+    left = {f: len(u) for f, u in up.items()}
+
+    def coface(s):
+        for t in up[s]:
+            if t in left:
+                return t
+
+    queue = collections.deque(sorted(s for s, n in left.items() if n == 1 and not left[up[s][0]]))
+    while queue:
+        s = queue.popleft()
+        if left.get(s) != 1:
+            continue
+        t = coface(s)
+        if left[t]:
+            continue
+        del left[s], left[t]
+        # The faces of t and of s lose a coface: each may become free, or
+        # maximal, which frees its faces that lie in it alone.
+        for g in itertools.chain(
+            itertools.combinations(t, len(t) - 1), itertools.combinations(s, len(s) - 1)
+        ):
+            n = left.get(g)
+            if n is None:
+                continue
+            n = left[g] = n - 1
+            if n == 1 and not left[coface(g)]:
+                queue.append(g)
+            elif n == 0:
+                queue.extend(h for h in itertools.combinations(g, len(g) - 1) if left.get(h) == 1)
+    return len(left) == 1
 
 
 def ridges_with_facets(K: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:

@@ -6,9 +6,11 @@ lists, filtrations as facet lists per skeleton.  `dumps` is canonical
 (sorted keys, fixed separators), so equal values serialize byte-identically.
 Reading is strict: invalid JSON, a top level that is not an object, a missing
 field, a vertex that is not an integer, a simplex that repeats a vertex, an
-orientation sign other than ±1, an orientation that misses a facet, a
-`skeleta` that is not a list, a `classical` or `heuristic` that is not a
-boolean and a certificate field of the wrong type raise MalformedFiltration.
+orientation sign other than ±1, an orientation that misses a facet, signs a
+simplex that is not a facet or signs a simplex twice, a `skeleta` that is not
+a list, a skeleton at an index ≥ the dimension that is not the whole carrier,
+a `classical` or `heuristic` that is not a boolean and a certificate field of
+the wrong type raise MalformedFiltration.
 A skeleton or boundary simplex outside the carrier raises SimplexNotFound.
 A piece's `iso` must map each vertex of its space exactly once, and a collar's
 `kind` is "product" or "corner".
@@ -114,6 +116,11 @@ def _orientation_from_json(doc, K: SimplicialComplex) -> Optional[OrientationAss
     signs = {_simplex_from_json(f): s for f, s in doc}
     if not all(_is_sign(s) for s in signs.values()):
         raise MalformedFiltration("orientation signs must be +1 or -1")
+    if len(signs) != len(doc):
+        raise MalformedFiltration("the orientation signs a simplex twice")
+    extra = sorted(set(signs).difference(K.facets))
+    if extra:
+        raise MalformedFiltration(f"the orientation signs {extra[0]}, which is not a facet")
     missing = sorted(K.facets.difference(signs))
     if missing:
         raise MalformedFiltration(f"the orientation gives facet {missing[0]} no sign")
@@ -139,6 +146,8 @@ def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
     skeleta = tuple(
         K.subcomplex(_simplices(sk)) for sk in _optional_field(doc, "skeleta", list, [])
     )
+    if any(sk.facets != K.facets for sk in skeleta[max(K.dim, 0) :]):
+        raise MalformedFiltration("a skeleton at or above the top dimension is not the carrier")
     boundary = doc.get("boundary")
     B = None if boundary is None else K.subcomplex(_simplices(boundary))
     return FilteredComplex(

@@ -6,7 +6,10 @@ orientation extension.
 
 Sphere recognition is exact through dimension 2 (curves and closed surfaces
 are classified combinatorially); above that links are checked at the level of
-integral homology and results carry a `heuristic` flag.
+integral homology and results carry a `heuristic` flag.  Sphere and ball
+recognition first try an exact greedy collapse (`collapses_to_point`), which
+settles most links without homology; homology is the fallback when the
+collapse gets stuck.  The verdict and the flag are the same on both routes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     barycentric_subdivision,
+    collapses_to_point,
     empty_complex,
     join,
     link,
@@ -81,6 +85,20 @@ class FilteredComplex:
         for j in reversed(range(self.dim)):
             out.update(dict.fromkeys(self.skeleton(j).faces, j))
         return out
+
+    @functools.cached_property
+    def strata(self) -> Tuple["Stratum", ...]:
+        """Connected components of X^j − X^{j−1} as sets of open simplices.
+
+        A malformed filtration raises on every access: an exception is not cached.
+        """
+        _check_skeleta(self)
+        out: List[Stratum] = []
+        for j in range(self.dim + 1):
+            opens = self.skeleton(j).faces - self.skeleton(j - 1).faces
+            for comp in components(opens, _face_edges(opens)):
+                out.append(Stratum(j, frozenset(comp), j == self.dim))
+        return tuple(sorted(out, key=lambda s: (s.dim, min(s.simplices))))
 
     def same_filtration(self, other: "FilteredComplex") -> bool:
         return self.complex.facets == other.complex.facets and self.depth == other.depth
@@ -215,15 +233,8 @@ def _face_edges(faces):
 
 
 def strata(FX: FilteredComplex) -> List[Stratum]:
-    """Connected components of X^j − X^{j−1} as sets of open simplices."""
-    _check_skeleta(FX)
-    n = FX.dim
-    out: List[Stratum] = []
-    for j in range(n + 1):
-        opens = FX.skeleton(j).faces - FX.skeleton(j - 1).faces
-        for comp in components(opens, _face_edges(opens)):
-            out.append(Stratum(j, frozenset(comp), j == n))
-    return sorted(out, key=lambda s: (s.dim, min(s.simplices)))
+    """The strata of FX (computed once per filtration), in a fresh list."""
+    return list(FX.strata)
 
 
 def _restrict_to_skeleta(
@@ -321,14 +332,18 @@ def is_circle(K: SimplicialComplex) -> bool:
     return all(d == 2 for d in deg.values()) and connected_components(K) == 1
 
 
+def _is_closed_surface(K: SimplicialComplex) -> bool:
+    return (
+        K.dim == 2
+        and _is_closed_pseudo(K)
+        and all(is_circle(link(K, (v,))) for v in K.vertices)
+        and connected_components(K) == 1
+    )
+
+
 def _surface_type(K: SimplicialComplex):
     """(orientable, χ) of a closed connected surface, or None."""
-    if K.dim != 2 or not _is_closed_pseudo(K):
-        return None
-    for v in K.vertices:
-        if not is_circle(link(K, (v,))):
-            return None
-    if connected_components(K) != 1:
+    if not _is_closed_surface(K):
         return None
     from .complexes import is_orientable
 
@@ -337,7 +352,14 @@ def _surface_type(K: SimplicialComplex):
 
 @_memo_on_facets
 def sphere_like(K: SimplicialComplex, flag: _Flag) -> bool:
-    """Is K (a candidate link) a sphere?  Exact for dim ≤ 2, homology level above."""
+    """Is K (a candidate link) a sphere?  Exact for dim ≤ 2, homology level above.
+
+    In dimension 2, a closed connected surface with χ = 2 is S².  Above
+    that, a closed connected pseudomanifold with the sphere's χ that
+    collapses to a point once one facet σ is removed has the homology of a
+    sphere (H̃_*(K) ≅ H_*(σ, ∂σ)), so the collapse settles what homology
+    would, and homology is the fallback.  Either way the flag is set.
+    """
     if K.is_empty():
         return True
     d = K.dim
@@ -345,13 +367,15 @@ def sphere_like(K: SimplicialComplex, flag: _Flag) -> bool:
         return len(K.vertices) == 2
     if d == 1:
         return is_circle(K)
-    if d == 2:
-        return _surface_type(K) == (True, 2)
-    if not _is_closed_pseudo(K) or connected_components(K) != 1:
-        return False
     if K.euler_characteristic() != (2 if d % 2 == 0 else 0):
         return False
+    if d == 2:
+        return _is_closed_surface(K)
+    if not _is_closed_pseudo(K) or connected_components(K) != 1:
+        return False
     flag.heuristic = True
+    if collapses_to_point(K, min(K.facets)):
+        return True
     groups = algebra.homology(K, algebra.ZZ)
     want = [algebra.HomologyGroup(1)] + [algebra.HomologyGroup(0)] * (d - 1) + [
         algebra.HomologyGroup(1)
@@ -360,7 +384,13 @@ def sphere_like(K: SimplicialComplex, flag: _Flag) -> bool:
 
 
 def ball_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
-    """Is K plausibly a cone (contractible)?  Literal cones pass immediately."""
+    """Is K plausibly a cone (contractible)?  Literal cones pass immediately.
+
+    Otherwise a connected K with χ = 1 passes when it collapses to a point
+    (collapsible implies contractible) or, failing that, when its reduced
+    integral homology vanishes.  Above dimension 2 the flag is set on both
+    routes.
+    """
     if K.is_empty():
         return False
     apexes = set(K.vertices)
@@ -372,9 +402,11 @@ def ball_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
         return True
     if connected_components(K) != 1 or K.euler_characteristic() != 1:
         return False
-    groups = algebra.homology(K, algebra.ZZ, reduced=True)
     if flag is not None and K.dim > 2:
         flag.heuristic = True
+    if collapses_to_point(K):
+        return True
+    groups = algebra.homology(K, algebra.ZZ, reduced=True)
     return all(g == algebra.HomologyGroup(0) for g in groups)
 
 
@@ -703,11 +735,14 @@ def validate_stratified_pseudomanifold(
     # (e) stratum manifoldness via link checks
     all_strata = strata(FX)
     ok_e, det_e = ok_ridge, det_ridge
+    # Verdicts on boundary-face links taken in the carrier, for clause (g).
+    collar: Dict[Simplex, bool] = {}
     if ok_e:
         for S in all_strata:
             # Every coface of s in X^j lies in the open stratum S, so the
             # link in the skeleton is the link inside the stratum.
             Xj = FX.skeleton(S.dim)
+            in_carrier = Xj == K
             for s in sorted(S.simplices):
                 L = link(Xj, s)
                 want = S.dim - (len(s) - 1) - 1
@@ -716,6 +751,8 @@ def validate_stratified_pseudomanifold(
                     ok = L.is_empty()
                 elif on_boundary:
                     ok = ball_like(L, flag)
+                    if in_carrier:
+                        collar[s] = ok
                 else:
                     ok = sphere_like(L, flag) and L.dim == want
                 if not ok:
@@ -795,7 +832,10 @@ def validate_stratified_pseudomanifold(
             if ok_g:
                 # Collar necessary condition: links of boundary faces are cones.
                 for s in sorted(B.faces):
-                    if not ball_like(link(K, s), flag):
+                    ok = collar.get(s)
+                    if ok is None:
+                        ok = ball_like(link(K, s), flag)
+                    if not ok:
                         ok_g = False
                         det_g = f"link of boundary face {s} is not a cone"
                         break

@@ -50,6 +50,13 @@ def random_complex(rng: random.Random, nverts: int = 6, nfacets: int = 5, dim: i
     return build_complex(sorted(facets))
 
 
+def dunce_hat():
+    """The 8-vertex dunce hat: contractible (χ = 1, reduced homology 0), but
+    no edge is free, so no collapse can start."""
+    words = "124 127 128 134 135 136 156 178 235 237 238 245 348 367 456 468 678"
+    return build_complex([tuple(int(c) for c in w) for w in words.split()])
+
+
 def flip_interior_sign(cert):
     """The certificate with the sign of one carrier facet flipped, a facet
     with no ridge on the boundary, so boundary signs alone cannot see it."""

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -143,6 +144,7 @@ def test_bordism_verify_rejects_incoherent_carrier(tmp_path, capsys):
 
 
 S2_FACETS = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+S2_ORIENTATION = [[[0, 1, 2], 1], [[0, 1, 3], -1], [[0, 2, 3], 1], [[1, 2, 3], -1]]
 
 MALFORMED = {
     "invalid_json": '{"type": "complex", "facets": [[0, 1, 2]',
@@ -167,6 +169,21 @@ MALFORMED = {
     "classical_string": {"type": "filtered_complex", "facets": S2_FACETS, "classical": "no"},
     "heuristic_list": {"type": "filtered_complex", "facets": S2_FACETS, "heuristic": [1]},
     "skeleta_int": {"type": "filtered_complex", "facets": S2_FACETS, "skeleta": 5},
+    "orientation_signs_a_non_facet": {
+        "type": "filtered_complex",
+        "facets": S2_FACETS,
+        "orientation": S2_ORIENTATION + [[[0, 1], 1]],
+    },
+    "orientation_signs_a_facet_twice": {
+        "type": "filtered_complex",
+        "facets": S2_FACETS,
+        "orientation": S2_ORIENTATION + [[[0, 1, 2], -1]],
+    },
+    "top_skeleton_not_the_carrier": {
+        "type": "filtered_complex",
+        "facets": S2_FACETS,
+        "skeleta": [[[0]], [[0, 1]], [[0, 1, 2]]],
+    },
 }
 
 
@@ -222,6 +239,15 @@ WRONG_TYPES = {
     "collar_kind_int": lambda d: d["collars"]["plus"].update(kind=5),
     "collar_kind_unknown": lambda d: d["collars"]["plus"].update(kind="twisted"),
     "provenance_list": lambda d: d.update(provenance=[1]),
+    "orientation_signs_a_non_facet": lambda d: d["carrier"]["orientation"].append(
+        [[0, 1, 2, 3, 4, 5], 1]
+    ),
+    "orientation_signs_a_facet_twice": lambda d: d["carrier"]["orientation"].append(
+        [d["carrier"]["orientation"][0][0], -d["carrier"]["orientation"][0][1]]
+    ),
+    "top_skeleton_not_the_carrier": lambda d: d["carrier"]["skeleta"].append(
+        d["carrier"]["skeleta"][0]
+    ),
 }
 
 
@@ -231,6 +257,27 @@ def test_certificate_field_of_wrong_type_is_usage_error(name, cylinder_doc, tmp_
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cylinder_doc))
     assert_usage_error(["bordism", "verify", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    ["1" * 400, "7" * 5000, "1000000000000000003", str(2**64 + 13)],
+    ids=["400-ones", "5000-sevens", "prime-10^18+3", "2^64+13"],
+)
+def test_large_modulus_is_decided_at_once(modulus, capsys):
+    """Primality is decided exactly and fast; a modulus of 2^64 or more, or a
+    digit string too long for one, is a usage error."""
+    prime = modulus == "1000000000000000003"
+    for argv in (
+        ["homology", "catalog:S2", "--ring", "F" + modulus],
+        ["classify", "catalog:S2", "--class", "witt:F" + modulus],
+    ):
+        start = time.perf_counter()
+        if prime:
+            assert run(argv) == 0
+        else:
+            assert_usage_error(argv, capsys)
+        assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("ref", ["catalog:S2:x", "catalog:S2:1:2", "catalog:S2:"])

@@ -19,6 +19,7 @@ from stratabord.complexes import (
     boundary_orientation,
     boundary_subcomplex,
     build_complex,
+    collapses_to_point,
     cone,
     incidence,
     is_orientable,
@@ -35,7 +36,7 @@ from stratabord.complexes import (
 )
 from stratabord.errors import NotOrientable, SimplexNotFound
 
-from conftest import random_complex
+from conftest import dunce_hat, random_complex
 
 S2 = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 S1 = build_complex([(0, 1), (1, 2), (0, 2)])
@@ -124,6 +125,40 @@ def test_link_and_star_match_the_definition_on_catalog_and_carrier(entries):
     carrier = bordism_to_intrinsic(entries["T3"].stratifications[0]).Y.complex
     assert len(carrier.faces) == 8802
     assert_link_and_star_match_oracle(carrier)
+
+
+def acyclic(K):
+    return all(g.rank == 0 and not g.torsion for g in homology(K, ZZ, reduced=True))
+
+
+@given(mixed_complexes(), st.integers(0, 7))
+@settings(max_examples=300, deadline=None)
+def test_a_collapse_to_a_point_proves_acyclicity(K, i):
+    if collapses_to_point(K):
+        assert acyclic(K)
+    drop = sorted(K.facets)[i % len(K.facets)]
+    if collapses_to_point(K, drop):
+        assert acyclic(build_complex([f for f in K.faces if f != drop]))
+
+
+def test_collapses_to_point_on_known_complexes(entries):
+    assert collapses_to_point(build_complex([(0,)]))
+    assert collapses_to_point(TRIANGLE)
+    assert not collapses_to_point(build_complex([(0,), (1,)]))
+    for K in (S1, S2, product(S1, S1)):
+        assert collapses_to_point(cone(K))
+        assert not collapses_to_point(K)
+    for name in ("S1", "S2", "S3", "S4"):
+        K = entries[name].complex
+        assert not collapses_to_point(K)
+        assert all(collapses_to_point(K, f) for f in sorted(K.facets)[:5]), name
+    for name in ("T2", "RP2", "T3", "RP3"):
+        K = entries[name].complex
+        assert not collapses_to_point(K, min(K.facets)), name
+    # The dunce hat is contractible, but it has no free edge.
+    D = dunce_hat()
+    assert D.euler_characteristic() == 1 and acyclic(D)
+    assert not collapses_to_point(D)
 
 
 def test_join_multiplies_reduced_euler():

@@ -11,13 +11,14 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cones_with_boundary
+from conftest import cones_with_boundary, dunce_hat
 from stratabord import catalog, strat
-from stratabord.algebra import QQ
+from stratabord.algebra import QQ, ZZ, HomologyGroup, homology
 from stratabord.bordism import bordism_to_intrinsic, cylinder
 from stratabord.complexes import (
     boundary_subcomplex,
     build_complex,
+    collapses_to_point,
     cone,
     join,
     link,
@@ -392,8 +393,8 @@ def test_germ_partition_matches_the_old_loop_under_each_filter(entries):
 
 
 def test_memo_replays_the_heuristic_flag():
-    # A 3-sphere is recognised, and given an invariant, at the homology
-    # level: the first answer is heuristic, and so is every replay of it.
+    # A 3-sphere is recognised, and given an invariant, above dimension 2:
+    # the first answer is heuristic, and so is every replay of it.
     S3 = build_complex(itertools.combinations(range(500, 505), 4))
     for recognise in (sphere_like, complex_invariant):
         first, again = _Flag(), _Flag()
@@ -485,3 +486,193 @@ def test_subdivide_filtered_keeps_every_skeleton_and_the_boundary(sigma_t2_carri
     assert validate_stratified_pseudomanifold(sub, "with-boundary").passed
     for p in (lower_middle(3), upper_middle(3)):
         assert intersection_homology(sub, p, QQ) == intersection_homology(Y, p, QQ)
+
+
+# ---------------------------------------------------------------------------
+# Collapse-first recognition against the homology-only routines
+
+
+def _sphere_by_homology(K, flag):
+    """`sphere_like` as it was before collapses, kept here as an oracle."""
+    if K.is_empty():
+        return True
+    d = K.dim
+    if d == 0:
+        return len(K.vertices) == 2
+    if d == 1:
+        return strat.is_circle(K)
+    if d == 2:
+        return strat._surface_type(K) == (True, 2)
+    if not strat._is_closed_pseudo(K) or connected_components(K) != 1:
+        return False
+    if K.euler_characteristic() != (2 if d % 2 == 0 else 0):
+        return False
+    flag.heuristic = True
+    want = [HomologyGroup(1)] + [HomologyGroup(0)] * (d - 1) + [HomologyGroup(1)]
+    return homology(K, ZZ) == want
+
+
+def _ball_by_homology(K, flag):
+    """`ball_like` as it was before collapses, kept here as an oracle."""
+    if K.is_empty():
+        return False
+    if set(K.vertices).intersection(*map(set, K.facets)):
+        return True
+    if connected_components(K) != 1 or K.euler_characteristic() != 1:
+        return False
+    groups = homology(K, ZZ, reduced=True)
+    if K.dim > 2:
+        flag.heuristic = True
+    return all(g == HomologyGroup(0) for g in groups)
+
+
+def _distinct_links(K, faces):
+    out = {}
+    for f in faces:
+        L = link(K, f)
+        out.setdefault(L.facets, L)
+    return list(out.values())
+
+
+def _sigma_t3_pole_links():
+    """Links of the faces on the pole arcs of the Σ T³ bordism carrier.  Among
+    them are closed links (T³ and Σ T³) on which the greedy collapse gets
+    stuck, so recognition falls back to homology."""
+    Y = bordism_to_intrinsic(catalog.get("Sigma-T3").stratifications[0]).Y
+    return _distinct_links(Y.complex, Y.skeleton(1).faces)
+
+
+def test_recognition_matches_the_homology_only_routines(entries, sigma_t2_carriers):
+    links = []
+    for entry in entries.values():
+        for FX in entry.stratifications:
+            links += _distinct_links(FX.complex, FX.complex.faces)
+            links += [stratum_link(FX, S).complex for S in strata(FX)]
+    for Y in sigma_t2_carriers:
+        links += _distinct_links(Y.complex, Y.complex.faces)
+    pole_links = _sigma_t3_pole_links()
+    stuck = [
+        L for L in pole_links
+        if strat._is_closed_pseudo(L) and not collapses_to_point(L, min(L.facets))
+    ]
+    assert stuck, "no link exercises the homology fallback"
+    flagged = {"sphere": 0, "ball": 0}
+    for L in links + pole_links:
+        for name, fast, slow in (
+            ("sphere", sphere_like, _sphere_by_homology),
+            ("ball", ball_like, _ball_by_homology),
+        ):
+            got, want = _Flag(), _Flag()
+            assert fast(L, got) == slow(L, want), (name, sorted(L.facets))
+            assert got.heuristic == want.heuristic, (name, sorted(L.facets))
+            flagged[name] += want.heuristic
+    # Both routines met links above dimension 2, where the flag is set.
+    assert flagged["sphere"] and flagged["ball"]
+
+
+def test_sphere_like_settles_spheres_by_collapse(entries, monkeypatch):
+    def no_homology(*args, **kwargs):
+        raise AssertionError("homology was computed")
+
+    monkeypatch.setattr(strat.algebra, "homology", no_homology)
+    raw = sphere_like.__wrapped__  # past the memo
+    for K in (entries["S3"].complex, entries["S4"].complex, octahedral_sphere(5)):
+        flag = _Flag()
+        assert raw(K, flag) and flag.heuristic
+    # A stacked 3-ball: five tetrahedra in a row, with no common vertex.
+    B3 = build_complex([tuple(range(i, i + 4)) for i in range(5)])
+    flag = _Flag()
+    assert ball_like(B3, flag) and flag.heuristic
+
+
+def test_dunce_hat_is_a_ball_by_the_homology_fallback(monkeypatch):
+    """The dunce hat has no free edge, so `collapses_to_point` is False; it is
+    contractible, so `ball_like` is True through the homology fallback, with
+    the flag unset because it is 2-dimensional."""
+    D = dunce_hat()
+    assert not collapses_to_point(D)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return homology(*args, **kwargs)
+
+    monkeypatch.setattr(strat.algebra, "homology", counting)
+    flag = _Flag()
+    assert ball_like(D, flag)
+    assert not flag.heuristic
+    assert len(calls) == 1
+
+
+def _klein_bottle(n=4):
+    """An n × n grid whose columns wrap straight and whose rows wrap with a flip."""
+
+    def v(i, j):
+        if j == n:
+            i, j = (-i) % n, 0
+        return (i % n) * n + j
+
+    facets = []
+    for i in range(n):
+        for j in range(n):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
+            facets += [(a, b, d), (a, c, d)]
+    return build_complex(facets)
+
+
+def test_sphere_like_in_dimension_two_is_the_surface_test(entries, sigma_t2_carriers):
+    S2 = entries["S2"].complex
+    # two 2-spheres glued at the vertex 0
+    wedge = build_complex(list(S2.facets) + list(itertools.combinations((0, 4, 5, 6), 3)))
+    klein = _klein_bottle()
+    assert strat._surface_type(klein) == (False, 0)
+    assert wedge.euler_characteristic() == 3 and strat._surface_type(wedge) is None
+    surfaces = [S2, entries["RP2"].complex, entries["T2"].complex, klein, wedge]
+    spaces = [FX.complex for entry in entries.values() for FX in entry.stratifications]
+    for K in spaces + [Y.complex for Y in sigma_t2_carriers]:
+        surfaces += [L for L in _distinct_links(K, K.faces) if L.dim == 2]
+    assert len(surfaces) > 100
+    for L in surfaces:
+        assert sphere_like.__wrapped__(L, _Flag()) == (strat._surface_type(L) == (True, 2))
+
+
+def _failing_details(rep):
+    return [(c.clause, c.detail) for c in rep.clauses if not c.passed]
+
+
+def test_collar_clause_reuses_clause_e_only_for_links_in_the_carrier():
+    # A disk and a cone on a circle meeting at the boundary vertex 0: the link
+    # of 0 is an arc and a circle, so (e) fails there, and (g) reads the
+    # verdict (e) recorded.
+    K = build_complex([(0, 1, 2), (0, 3, 4), (0, 4, 5), (0, 3, 5)])
+    rep = validate_stratified_pseudomanifold(
+        make_filtered(K, {}, boundary_subcomplex(K).facets), "with-boundary"
+    )
+    assert _failing_details(rep) == [
+        ("e", "stratum link of (0,) is not a 1-sphere"),
+        ("g", "link of boundary face (0,) is not a cone"),
+    ]
+    assert not rep.heuristic
+    # A 3-ball coned from c = 4 with the arc 0–c–1 as a 1-stratum, and a
+    # 3-sphere through the boundary vertex 0.  In X¹ the link of 0 is a point,
+    # so (e) passes; in the carrier it is a disk and a 2-sphere, so (g) fails.
+    K = build_complex(
+        [f + (4,) for f in itertools.combinations(range(4), 3)]
+        + list(itertools.combinations((0, 10, 11, 12, 13), 4))
+    )
+    FX = make_filtered(K, {1: [(0, 4), (1, 4)]}, boundary_subcomplex(K).facets)
+    rep = validate_stratified_pseudomanifold(FX, "with-boundary")
+    assert _failing_details(rep) == [("g", "link of boundary face (0,) is not a cone")]
+
+
+def test_strata_are_computed_once_per_filtration(entries):
+    FX = entries["Sigma-T2"].stratifications[0]
+    first = strata(FX)
+    first.clear()
+    assert strata(FX) == list(FX.strata) and len(FX.strata) == 3
+    assert FX.strata is FX.strata
+    edge = FX.complex.subcomplex([min(FX.complex.faces_of_dim(1))])
+    bad = FilteredComplex(FX.complex, (edge, strat.EMPTY, strat.EMPTY, FX.complex))
+    for _ in range(2):
+        with pytest.raises(MalformedFiltration):
+            strata(bad)
