@@ -12,12 +12,20 @@ Heckenbach, Saunders and Welker).  Ranks over ℚ are ranks over ℤ.  With
 tracking on, it also keeps the certificates U (by rows) and V (by columns)
 used by `smith_normal_form`, which checks U·M·V = diag(d), `kernel_basis`
 and `solve_exact`.
+
+Homology reduces a chain complex from the top degree down and clears
+(Chen–Kerber, *Persistent homology computation with a twist*): ∂_i drops
+every column that was the row of a unit pivot of ∂_{i+1}.  Since ∂∂ = 0
+this keeps the image lattice of ∂_i, so its rank and its nonzero invariant
+factors (see `homology_of_chain_complex`).  The same kernel, with a row set
+pivoted first, gives intersection homology over fields its two ranks per
+degree in one walk (`ih._field_ranks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import DimensionOutOfRange, UnsupportedCoefficients
@@ -153,8 +161,20 @@ def _row_sub(rows, cols, r: int, src: Dict[int, int], q: int, p: Optional[int] =
         del rows[r]
 
 
-def _eliminate(M: SparseMatrix, p: Optional[int] = None, track: bool = False):
-    """The elimination kernel over ℤ (p None) or 𝔽ₚ: returns (diag, U, V).
+class _Reduction(NamedTuple):
+    """What `_eliminate` reports."""
+
+    diag: List[int]  # |pivot values|: the unit pivots, then the residual's divisibility chain
+    unit_rows: List[int]  # rows of the unit pivots, in the order taken
+    first_rank: int  # rank of the rows pivoted first
+    U: Optional[SparseMatrix]
+    V: Optional[SparseMatrix]
+
+
+def _eliminate(
+    M: SparseMatrix, p: Optional[int] = None, track: bool = False, first: frozenset = frozenset()
+) -> _Reduction:
+    """The elimination kernel over ℤ (p None) or 𝔽ₚ.
 
     Walking the columns in order, a unit entry of the column (±1 over ℤ, any
     nonzero entry mod p) in the shortest row becomes a pivot: row operations
@@ -162,6 +182,13 @@ def _eliminate(M: SparseMatrix, p: Optional[int] = None, track: bool = False):
     such step is unimodular and contributes a factor 1.  Over ℤ the non-unit
     residual goes to `_smith_residual`; mod p nothing is left, and only
     len(diag), the rank, is meaningful.
+
+    The rows in `first` are pivoted first: a column with an entry in a
+    remaining row of `first` takes its pivot only among those rows, and over
+    ℤ leaves it to the residual when none of those entries is a unit.  So a
+    pivot outside `first` only ever changes rows outside `first`, and the
+    rows of `first` are reduced among themselves: their rank is the pivots
+    taken in them plus the rank of their part of the residual.
 
     With track, U is kept by rows and V by columns.  A pivot's column holds
     only the pivot once it is cleared, so the column operations that clear
@@ -184,7 +211,7 @@ def _eliminate(M: SparseMatrix, p: Optional[int] = None, track: bool = False):
         col = cols.get(c)
         if not col:
             continue
-        units = [r for r in col if p or rows[r][c] in (1, -1)]
+        units = [r for r in col & first or col if p or rows[r][c] in (1, -1)]
         if not units:
             continue
         pivot = min(units, key=lambda r: (len(rows[r]), r))
@@ -204,11 +231,16 @@ def _eliminate(M: SparseMatrix, p: Optional[int] = None, track: bool = False):
             cols[cc].discard(pivot)
         del cols[c]
         pivots.append((pivot, c, v))
+    unit_rows = [r for r, _c, _v in pivots]
+    first_rank = sum(r in first for r in unit_rows)
     if rows:
+        if first:
+            rest = {(r, c): v for r in rows if r in first for c, v in rows[r].items()}
+            first_rank += len(_eliminate(SparseMatrix(M.nrows, M.ncols, rest)).diag)
         pivots += _smith_residual(rows, cols, U, V)
     diag = [abs(v) for _r, _c, v in pivots]
     if not track:
-        return diag, None, None
+        return _Reduction(diag, unit_rows, first_rank, None, None)
     sign = {r: 1 if v > 0 else -1 for r, _c, v in pivots}
     order_r = [r for r, _c, _v in pivots]
     order_r += sorted(set(range(M.nrows)) - set(order_r))
@@ -224,7 +256,7 @@ def _eliminate(M: SparseMatrix, p: Optional[int] = None, track: bool = False):
         M.ncols,
         {(j, i): w for i, c in enumerate(order_c) for j, w in V[c].items()},
     )
-    return diag, Um, Vm
+    return _Reduction(diag, unit_rows, first_rank, Um, Vm)
 
 
 def _smith_residual(rows, cols, U=None, V=None) -> List[Tuple[int, int, int]]:
@@ -286,7 +318,7 @@ def _smith_residual(rows, cols, U=None, V=None) -> List[Tuple[int, int, int]]:
 
 def smith_normal_form(M: SparseMatrix):
     """Invariant factors d₁|d₂|… plus certificates (U, V) with U·M·V = diag(d)."""
-    diag, U, V = _eliminate(M, track=True)
+    diag, _units, _first, U, V = _eliminate(M, track=True)
     D = U.times(M).times(V)
     expect = {(i, i): d for i, d in enumerate(diag)}
     if D.entries != expect:
@@ -296,16 +328,16 @@ def smith_normal_form(M: SparseMatrix):
 
 def invariant_factors(M: SparseMatrix) -> List[int]:
     """Nonzero invariant factors d₁|d₂|… of M, without certificates."""
-    return _eliminate(M)[0]
+    return _eliminate(M).diag
 
 
 def rank_over(M: SparseMatrix, ring: Ring) -> int:
-    return len(_eliminate(M, ring.p)[0])
+    return len(_eliminate(M, ring.p).diag)
 
 
 def kernel_basis(M: SparseMatrix) -> SparseMatrix:
     """Basis (as columns) of the integer kernel of M; saturated by construction."""
-    diag, U, V = _eliminate(M, track=True)
+    diag, _units, _first, _U, V = _eliminate(M, track=True)
     r = len(diag)
     entries = {(row, col - r): v for (row, col), v in V.entries.items() if col >= r}
     return SparseMatrix(M.ncols, M.ncols - r, entries)
@@ -313,7 +345,7 @@ def kernel_basis(M: SparseMatrix) -> SparseMatrix:
 
 def solve_exact(K: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """Solve K·X = B over ℤ where K has full column rank; raises if unsolvable."""
-    diag, U, V = _eliminate(K, track=True)
+    diag, _units, _first, U, V = _eliminate(K, track=True)
     r = len(diag)
     if r != K.ncols:
         raise ValueError("matrix does not have full column rank")
@@ -376,22 +408,34 @@ def homology_of_chain_complex(
     """Homology of a free chain complex; boundaries[i] maps degree i to i−1.
 
     boundaries[0] may be None (zero map).  Torsion of H_i over ℤ is read off
-    the invariant factors of ∂_{i+1}.
+    the invariant factors of ∂_{i+1}.  The boundaries must satisfy ∂∂ = 0:
+    the complex is reduced from the top degree down, and ∂_i drops the
+    columns that were rows R of the unit pivots of ∂_{i+1} (clearing).
+
+    Why that is sound: the block of ∂_{i+1} on R and the unit pivot columns
+    is unimodular, so each r ∈ R has an integral z with ∂z = e_r + y, y off
+    R.  Then ∂_i e_r = −∂_i y, and ∂_i has the same image lattice with or
+    without the columns R: the same rank and the same nonzero invariant
+    factors, which are unique and come out as a divisibility chain.  Rows of
+    the non-unit residual are never cleared.
     """
     top = len(dims) - 1
     ranks = [0] * (top + 2)
     torsions: List[Tuple[int, ...]] = [()] * (top + 2)
-    for i in range(1, top + 1):
+    cleared: set = set()
+    for i in range(top, 0, -1):
         M = boundaries[i]
         if M is None or not M.entries:
-            ranks[i] = 0
+            cleared = set()
             continue
+        if cleared:
+            kept = {rc: v for rc, v in M.entries.items() if rc[1] not in cleared}
+            M = SparseMatrix(M.nrows, M.ncols, kept)
+        red = _eliminate(M, ring.p)
+        ranks[i] = len(red.diag)
         if ring.kind == "Z":
-            facs = invariant_factors(M)
-            ranks[i] = len([d for d in facs if d != 0])
-            torsions[i] = tuple(d for d in facs if d > 1)
-        else:
-            ranks[i] = rank_over(M, ring)
+            torsions[i] = tuple(d for d in red.diag if d > 1)
+        cleared = set(red.unit_rows)
     out = []
     for i in range(top + 1):
         rank = dims[i] - ranks[i] - ranks[i + 1]

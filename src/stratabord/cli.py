@@ -235,14 +235,16 @@ _CLASS_ALIASES = {
 
 
 def parse_class_spec(spec: str) -> Tuple[SingularityClass, bool]:
-    """A class spec like witt:Q, ip, euler2, loc-orient or siegel:witt:Q."""
+    """A class spec [siegel:]NAME[:FIELD], like witt:Q, ip, euler2, loc-orient
+    or siegel:witt:Q."""
     parts = spec.split(":")
-    siegel_mode = False
-    if parts[0] == "siegel":
-        siegel_mode = True
+    siegel_mode = parts[0] == "siegel"
+    if siegel_mode:
         parts = parts[1:]
         if not parts:
             raise UnknownName("siegel: needs an inner class")
+    if not parts[0] or len(parts) > 2:
+        raise UnknownName(f"class spec {spec!r} is not [siegel:]NAME[:FIELD]")
     name = _CLASS_ALIASES.get(parts[0], parts[0])
     field = algebra.parse_ring(parts[1]) if len(parts) > 1 else None
     return classes.builtin(name, field), siegel_mode

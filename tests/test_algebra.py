@@ -8,15 +8,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from stratabord.algebra import (
     GF,
     QQ,
+    HomologyGroup,
     SparseMatrix,
     ZZ,
+    _eliminate,
     boundary_matrix,
     euler_characteristic,
     homology,
+    homology_of_chain_complex,
     identity_matrix,
     invariant_factors,
     kernel_basis,
@@ -28,6 +32,7 @@ from stratabord.algebra import (
 from stratabord.bordism import bordism_to_intrinsic
 from stratabord.complexes import build_complex, suspension
 from stratabord.errors import UnsupportedCoefficients
+from test_properties import small_complexes
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +425,106 @@ def test_suspension_shifts_homology():
             prev = h[i - 1] if i - 1 < len(h) else None
             if prev is not None:
                 assert (sh[i].rank, sh[i].torsion) == (prev.rank, prev.torsion), name
+
+
+# ---------------------------------------------------------------------------
+# Clearing against each boundary matrix reduced in full
+
+
+def homology_without_clearing(K, ring):
+    """Homology with every ∂_i reduced in full, each degree on its own."""
+    dims = [len(K.faces_of_dim(i)) for i in range(K.dim + 1)]
+    ranks = [0] * (K.dim + 2)
+    torsion = [()] * (K.dim + 2)
+    for i in range(1, K.dim + 1):
+        M = boundary_matrix(K, i)
+        if ring == ZZ:
+            facs = invariant_factors(M)
+            ranks[i] = len(facs)
+            torsion[i] = tuple(d for d in facs if d > 1)
+        else:
+            ranks[i] = rank_over(M, ring)
+    return [
+        HomologyGroup(dims[i] - ranks[i] - ranks[i + 1], torsion[i + 1])
+        for i in range(K.dim + 1)
+    ]
+
+
+CLEARING_RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+def _assert_clearing_keeps_homology(K):
+    for ring in CLEARING_RINGS:
+        assert homology(K, ring) == homology_without_clearing(K, ring), ring
+
+
+def test_clearing_keeps_homology_on_catalog(entries):
+    for e in entries.values():
+        _assert_clearing_keeps_homology(e.complex)
+
+
+def test_clearing_keeps_homology_on_carriers(entries, sigma_t2_carriers):
+    Y = bordism_to_intrinsic(entries["RP3"].stratifications[0]).Y.complex
+    assert homology(Y, ZZ)[1].torsion == (2,)
+    for K in [Y] + [FY.complex for FY in sigma_t2_carriers]:
+        _assert_clearing_keeps_homology(K)
+
+
+@given(small_complexes())
+@settings(max_examples=60, deadline=None)
+def test_clearing_keeps_homology_on_small_complexes(K):
+    _assert_clearing_keeps_homology(K)
+
+
+def test_residual_pivot_row_is_not_cleared():
+    # ℤz → ℤa ⊕ ℤb → ℤx with ∂z = 2a + 3b, ∂a = 3x, ∂b = −2x.  ∂₂ has no
+    # unit entry, so its pivot comes from the Smith residual; dropping its
+    # row from ∂₁ would leave H₀ = ℤ/3 or ℤ/2 instead of 0.
+    d2 = SparseMatrix(2, 1, {(0, 0): 2, (1, 0): 3})
+    d1 = SparseMatrix(1, 2, {(0, 0): 3, (0, 1): -2})
+    assert not d1.times(d2).entries
+    assert _eliminate(d2).unit_rows == []
+    for ring in CLEARING_RINGS:
+        assert homology_of_chain_complex([1, 2, 1], [None, d1, d2], ring) == [
+            HomologyGroup(0)
+        ] * 3, ring
+
+
+# ---------------------------------------------------------------------------
+# Rows pivoted first
+
+
+def _rank_of_rows(M, rows, ring):
+    return rank_over(SparseMatrix(M.nrows, M.ncols, {
+        rc: v for rc, v in M.entries.items() if rc[0] in rows
+    }), ring)
+
+
+def test_rows_pivoted_first_report_their_own_rank():
+    # Row 0 is pivoted first and holds only 2s: neither column may take the
+    # unit pivot of row 1, and row 0's rank comes from the residual.
+    M = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1})
+    red = _eliminate(M, first=frozenset({0}))
+    assert (len(red.diag), red.first_rank, red.unit_rows) == (1, 1, [])
+
+
+def test_rows_pivoted_first_randomized():
+    # Entries in {±1, ±2}: over ℤ some rows pivoted first are left to the
+    # residual, whose rank on those rows then counts.
+    rng = random.Random(31)
+    from_residual = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        M = unit_two_matrix(rng, m, n)
+        first = frozenset(r for r in range(m) if rng.random() < 0.5)
+        for ring in (QQ, GF(2), GF(3)):
+            red = _eliminate(M, ring.p, first=first)
+            assert len(red.diag) == rank_over(M, ring)
+            assert red.first_rank == _rank_of_rows(M, first, ring)
+            if ring.p:
+                assert len(red.unit_rows) == len(red.diag)
+            else:
+                from_residual += red.first_rank > sum(r in first for r in red.unit_rows)
+        # Without rows pivoted first the kernel is unchanged.
+        assert _eliminate(M).diag == invariant_factors(M)
+    assert from_residual >= 20

@@ -112,6 +112,17 @@ def test_unknown_class_is_usage_error():
     assert run(["classify", "catalog:S2", "--class", "nope"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec", ["witt:Q:junk", "euler2:F2:x", "siegel:", "siegel:witt:Q:x", ":Q", ""]
+)
+def test_malformed_class_spec_is_usage_error(spec, capsys):
+    """A spec that is not [siegel:]NAME[:FIELD] with a nonempty NAME."""
+    capsys.readouterr()
+    assert run(["classify", "catalog:S2", "--class", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: class spec {spec!r} is not [siegel:]NAME[:FIELD]\n", err
+
+
 def test_stratify_and_links(capsys):
     code, out = run_capture(capsys, ["stratify", "catalog:Sigma-T2", "--json"])
     assert code == 0

@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import cones_with_boundary
-from stratabord import catalog
+from stratabord import algebra, catalog
 from stratabord.algebra import GF, QQ, ZZ
 from stratabord.complexes import build_complex, cone, suspension, suspension_poles
 from stratabord.errors import NotValidated, PerversityViolation
 from stratabord.ih import (
     Perversity,
+    _field_ranks,
     allowable_simplices,
     ensure_full,
     ih_torsion,
@@ -26,7 +27,7 @@ from stratabord.ih import (
     upper_middle,
     zero_perversity,
 )
-from stratabord.strat import make_filtered, trivial_filtration
+from stratabord.strat import make_filtered, subdivide_filtered, trivial_filtration
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,8 @@ def _dense_boundary(K, i, cols, rows):
 
 
 def brute_ih_ranks_q(FX, p):
-    FX = ensure_full(FX)
+    if not is_full(FX):
+        FX, _prov = subdivide_filtered(FX)  # the barycentric oracle
     K = FX.complex
     n = FX.dim
     allow = allowable_simplices(FX, p)
@@ -270,3 +272,104 @@ def test_ih_requires_long_enough_perversity():
     FX = catalog.get("Sigma-T2").stratifications[0]
     with pytest.raises(PerversityViolation):
         intersection_homology(FX, Perversity((0,)), QQ)
+
+
+# ---------------------------------------------------------------------------
+# Fullness by local stellar subdivision
+
+
+PERVERSITIES = (zero_perversity, lower_middle, upper_middle, top_perversity)
+
+
+def _ih_tables(FX, ring):
+    n = max(FX.dim, 2)
+    return [intersection_homology(FX, p(n), ring) for p in PERVERSITIES]
+
+
+def test_local_subdivision_matches_barycentric_oracle():
+    for name in ("Sigma-S1", "Sigma-T2", "Sigma-RP2"):
+        FX = catalog.get(name).stratifications[1]
+        assert not is_full(FX)
+        local = ensure_full(FX)
+        bary, _prov = subdivide_filtered(FX)
+        assert is_full(local) and is_full(bary)
+        assert len(local.complex.faces) < len(bary.complex.faces)
+        assert local.orientation is None
+        for ring in (ZZ, QQ, GF(2)):
+            assert _ih_tables(local, ring) == _ih_tables(bary, ring), (name, ring)
+
+
+def test_local_subdivision_keeps_the_tables_of_stratification_0(entries):
+    for name, e in entries.items():
+        if not name.startswith("Sigma-"):
+            continue
+        first, *rest = e.stratifications
+        for FX in rest:
+            assert is_full(ensure_full(FX)), name
+            for ring in (ZZ, QQ):
+                assert _ih_tables(FX, ring) == _ih_tables(first, ring), (name, ring)
+
+
+def test_local_subdivision_of_a_carrier_with_boundary(sigma_t2_carriers):
+    Y = sigma_t2_carriers[1]
+    assert not is_full(Y)
+    local = ensure_full(Y)
+    assert is_full(local)
+    bary, _prov = subdivide_filtered(Y)
+    assert local.boundary.euler_characteristic() == Y.boundary.euler_characteristic()
+    for j in range(Y.dim):
+        assert local.skeleton(j).euler_characteristic() == Y.skeleton(j).euler_characteristic()
+    p = lower_middle(Y.dim)
+    assert intersection_homology(local, p, QQ) == intersection_homology(bary, p, QQ)
+
+
+def test_star_of_a_simplex_in_a_skeleton():
+    # The edge 01 of the octahedron lies in X^1 with both ends in X^0: its
+    # new vertex goes into X^1, and no face leaves X^1.
+    S2 = catalog.get("S2").complex
+    FX = make_filtered(S2, {0: [(0,), (1,)], 1: [(0, 1)]})
+    assert not is_full(FX)
+    out = ensure_full(FX)
+    assert is_full(out)
+    b = max(S2.vertices) + 1
+    assert out.skeleton(0).facets == FX.skeleton(0).facets
+    assert out.skeleton(1).facets == frozenset({(0, b), (1, b)})
+
+
+# ---------------------------------------------------------------------------
+# One elimination per degree for the field ranks
+
+
+def two_matrix_field_ranks(FX, p, ring):
+    """The field ranks with M_i and its bad rows N_i each reduced in full."""
+    K = FX.complex
+    n = FX.dim
+    allow = allowable_simplices(FX, p)
+    full_rank = [0] * (n + 2)
+    bad_rank = [0] * (n + 2)
+    for i in range(1, n + 1):
+        cols = allow[i]
+        if not cols:
+            continue
+        full_rank[i] = algebra.rank_over(algebra.boundary_matrix(K, i, cols), ring)
+        allowed = set(allow[i - 1])
+        bad_rows = [s for s in K.faces_of_dim(i - 1) if s not in allowed]
+        if bad_rows:
+            N = algebra.boundary_matrix(K, i, cols, bad_rows)
+            bad_rank[i] = algebra.rank_over(N, ring)
+    return [
+        len(allow[i]) - full_rank[i] - full_rank[i + 1] + bad_rank[i + 1]
+        for i in range(n + 1)
+    ]
+
+
+def test_field_ranks_match_two_matrix_routine(entries, sigma_t2_carriers):
+    spaces = [FX for e in entries.values() for FX in e.stratifications]
+    spaces += sigma_t2_carriers + cones_with_boundary(entries)
+    for FX in spaces:
+        FX = ensure_full(FX)
+        n = max(FX.dim, 2)
+        for p in PERVERSITIES:
+            for ring in (QQ, GF(2)):
+                got = _field_ranks(FX, p(n), ring)
+                assert got == two_matrix_field_ranks(FX, p(n), ring), (p.__name__, ring)
