@@ -67,7 +67,8 @@ class SingularityClass:
     contains_circle: bool = True
     suspension_closed: bool = True
     desuspension_closed: bool = False
-    # Verdicts by K.facets, one dict per class object.
+    # Verdicts by K.facets, one dict per class object: not by shape as in `strat`,
+    # because a witness names vertices (`core_facets`, a nested `link`).
     _verdicts: Dict[object, ClassVerdict] = dc_field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )

@@ -501,6 +501,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if args.jobs < 1:
+            raise StrataError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (InternalInvariantBreach, AssertionError) as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)

@@ -10,6 +10,8 @@ integral homology and results carry a `heuristic` flag.  Sphere and ball
 recognition first try an exact greedy collapse (`collapses_to_point`), which
 settles most links without homology; homology is the fallback when the
 collapse gets stuck.  The verdict and the flag are the same on both routes.
+Recognition is memoized per shape (the facets renumbered in vertex order), which
+is exact: every answer and flag is an isomorphism invariant naming no vertex.
 """
 
 from __future__ import annotations
@@ -291,20 +293,31 @@ class _Flag:
         self.heuristic = False
 
 
-def _memo_on_facets(raw):
-    """Memoize raw(K, flag) on K.facets.
+def _shape(K: SimplicialComplex) -> FrozenSet[Simplex]:
+    """K.facets with K.vertices renumbered 0, 1, 2, … in order."""
+    rank = dict(zip(K.vertices, range(len(K.vertices)))).__getitem__
+    return frozenset(tuple(map(rank, f)) for f in K.facets)
 
-    raw sets its flag when its answer rests on homology; a cached answer sets
-    the caller's flag just as the first call did.
+
+def _memo_on_shape(raw):
+    """Memoize raw(K, flag) on `_shape(K)`; a hit sets the flag as raw did.
+
+    Precondition, which makes the key exact.  The renumbering keeps the vertex
+    order, so sorts, min(K.facets), the collapse queue and the homology
+    fallback run step for step alike on complexes with one key.  raw's answer
+    and flag are isomorphism invariants (a collapse implies that the homology
+    test passes, and the flag is set before the collapse).  The answer names
+    no vertex: it is a bool or a label-free tuple.
     """
     memo: Dict[FrozenSet[Simplex], Tuple[object, bool]] = {}
 
     @functools.wraps(raw)
     def cached(K: SimplicialComplex, flag: Optional[_Flag] = None):
-        hit = memo.get(K.facets)
+        key = _shape(K)
+        hit = memo.get(key)
         if hit is None:
             local = _Flag()
-            hit = memo[K.facets] = (raw(K, local), local.heuristic)
+            hit = memo[key] = (raw(K, local), local.heuristic)
         if hit[1] and flag is not None:
             flag.heuristic = True
         return hit[0]
@@ -350,7 +363,7 @@ def _surface_type(K: SimplicialComplex):
     return (is_orientable(K), K.euler_characteristic())
 
 
-@_memo_on_facets
+@_memo_on_shape
 def sphere_like(K: SimplicialComplex, flag: _Flag) -> bool:
     """Is K (a candidate link) a sphere?  Exact for dim ≤ 2, homology level above.
 
@@ -383,7 +396,8 @@ def sphere_like(K: SimplicialComplex, flag: _Flag) -> bool:
     return groups == want
 
 
-def ball_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
+@_memo_on_shape
+def ball_like(K: SimplicialComplex, flag: _Flag) -> bool:
     """Is K plausibly a cone (contractible)?  Literal cones pass immediately.
 
     Otherwise a connected K with χ = 1 passes when it collapses to a point
@@ -402,7 +416,7 @@ def ball_like(K: SimplicialComplex, flag: Optional[_Flag] = None) -> bool:
         return True
     if connected_components(K) != 1 or K.euler_characteristic() != 1:
         return False
-    if flag is not None and K.dim > 2:
+    if K.dim > 2:
         flag.heuristic = True
     if collapses_to_point(K):
         return True
@@ -422,7 +436,7 @@ def octahedral_sphere(d: int) -> SimplicialComplex:
     return K
 
 
-@_memo_on_facets
+@_memo_on_shape
 def complex_invariant(K: SimplicialComplex, flag: _Flag):
     """A PL-homeomorphism invariant of a compact polyhedron.
 

@@ -296,6 +296,11 @@ def test_malformed_catalog_reference_is_usage_error(ref, capsys):
     assert_usage_error(["validate", ref], capsys)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(jobs, capsys):
+    assert_usage_error(["validate", "catalog:S2", "--jobs", jobs], capsys)
+
+
 def test_glue_two_cylinders(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["bordism", "cylinder", "catalog:S2", "--out", str(a)]) == 0

@@ -6,6 +6,7 @@ the circle-product law).
 """
 
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -20,6 +21,7 @@ from stratabord.complexes import (
     build_complex,
     collapses_to_point,
     cone,
+    empty_complex,
     join,
     link,
     product,
@@ -32,6 +34,7 @@ from stratabord.errors import (
     NotPseudomanifold,
 )
 from stratabord.ih import intersection_homology, lower_middle, upper_middle
+from stratabord.iso import isomorphic
 from stratabord.strat import (
     FilteredComplex,
     _Flag,
@@ -394,14 +397,19 @@ def test_germ_partition_matches_the_old_loop_under_each_filter(entries):
 
 def test_memo_replays_the_heuristic_flag():
     # A 3-sphere is recognised, and given an invariant, above dimension 2:
-    # the first answer is heuristic, and so is every replay of it.
+    # the answer is heuristic, and so is every replay of it, on the same
+    # labels and on others.  An earlier test may have recognised this shape
+    # already, so the first call here may itself be a replay.
     S3 = build_complex(itertools.combinations(range(500, 505), 4))
+    moved = S3.relabel({v: 2 * (504 - v) for v in S3.vertices})
     for recognise in (sphere_like, complex_invariant):
-        first, again = _Flag(), _Flag()
+        first = _Flag()
         answer = recognise(S3, first)
         assert first.heuristic
-        assert recognise(S3, again) == answer  # read from the memo
-        assert again.heuristic
+        for K in (S3, moved):
+            again = _Flag()
+            assert recognise(K, again) == answer  # read from the memo
+            assert again.heuristic
     assert sphere_like(S3) and complex_invariant(S3)[0] == "cx"
 
 
@@ -582,7 +590,7 @@ def test_sphere_like_settles_spheres_by_collapse(entries, monkeypatch):
     # A stacked 3-ball: five tetrahedra in a row, with no common vertex.
     B3 = build_complex([tuple(range(i, i + 4)) for i in range(5)])
     flag = _Flag()
-    assert ball_like(B3, flag) and flag.heuristic
+    assert ball_like.__wrapped__(B3, flag) and flag.heuristic
 
 
 def test_dunce_hat_is_a_ball_by_the_homology_fallback(monkeypatch):
@@ -599,9 +607,119 @@ def test_dunce_hat_is_a_ball_by_the_homology_fallback(monkeypatch):
 
     monkeypatch.setattr(strat.algebra, "homology", counting)
     flag = _Flag()
-    assert ball_like(D, flag)
+    assert ball_like.__wrapped__(D, flag)  # past the memo
     assert not flag.heuristic
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Recognition memoized per shape
+
+RECOGNISERS = (sphere_like, ball_like, complex_invariant)
+
+
+def _raw_answers(K):
+    """The value and flag of each recogniser's raw routine on K."""
+    out = []
+    for recognise in RECOGNISERS:
+        flag = _Flag()
+        out.append((recognise.__wrapped__(K, flag), flag.heuristic))
+    return out
+
+
+def _relabelled(K, labels):
+    """K with its vertices, in order, renamed to `labels`."""
+    return K.relabel(dict(zip(K.vertices, labels)))
+
+
+@st.composite
+def relabelled_complexes(draw):
+    nverts = draw(st.integers(1, 8))
+    simplices = st.lists(st.integers(0, nverts - 1), min_size=1, max_size=5, unique=True)
+    K = build_complex(draw(st.lists(simplices, min_size=1, max_size=10)))
+    n = len(K.vertices)
+    labels = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    return K, labels
+
+
+@given(relabelled_complexes())
+@settings(max_examples=150, deadline=None)
+def test_raw_recognition_ignores_the_labels(case):
+    K, labels = case
+    assert _raw_answers(_relabelled(K, labels)) == _raw_answers(K)
+
+
+def test_raw_recognition_of_catalog_links_ignores_the_labels(entries):
+    rng = random.Random(10)
+    links = {}
+    for entry in entries.values():
+        for FX in entry.stratifications:
+            for L in _distinct_links(FX.complex, FX.complex.faces):
+                links.setdefault(strat._shape(L), L)
+    assert any(L.dim >= 3 for L in links.values())
+    for L in links.values():
+        labels = rng.sample(range(3 * len(L.vertices) + 5), len(L.vertices))
+        assert _raw_answers(_relabelled(L, labels)) == _raw_answers(L), sorted(L.facets)
+
+
+def _record_raw_calls(monkeypatch, recognise):
+    """A list to which each call of `recognise` past its memo appends K."""
+    raw = recognise.__wrapped__
+    cell = next(c for c in recognise.__closure__ if c.cell_contents is raw)
+    calls = []
+
+    def recording(K, flag):
+        calls.append(K)
+        return raw(K, flag)
+
+    monkeypatch.setattr(cell, "cell_contents", recording)
+    return calls
+
+
+def test_a_monotone_relabelling_is_answered_from_the_memo(entries, monkeypatch):
+    # Every answer here is above dimension 2, so each one is flagged, and so
+    # must each replay be.
+    S3 = entries["S3"].complex
+    B3 = build_complex([tuple(range(i, i + 4)) for i in range(5)])
+    for recognise, K in ((sphere_like, S3), (ball_like, B3), (complex_invariant, S3)):
+        first = _Flag()
+        answer = recognise(K, first)
+        assert first.heuristic
+        calls = _record_raw_calls(monkeypatch, recognise)
+        again = _Flag()
+        assert recognise(_relabelled(K, [3 * v + 1000 for v in K.vertices]), again) == answer
+        assert again.heuristic and calls == []
+
+
+@st.composite
+def complexes_on_one_vertex_set(draw):
+    nverts = draw(st.integers(1, 6))
+    simplices = st.lists(st.integers(0, nverts - 1), min_size=1, max_size=4, unique=True)
+    points = [(v,) for v in range(nverts)]
+    return [
+        build_complex(draw(st.lists(simplices, max_size=6)) + points) for _ in range(2)
+    ]
+
+
+@given(complexes_on_one_vertex_set())
+@settings(max_examples=200, deadline=None)
+def test_shapes_tell_apart_complexes_on_one_vertex_set(pair):
+    K1, K2 = pair
+    assert (strat._shape(K1) == strat._shape(K2)) == (K1.facets == K2.facets)
+    if not isomorphic(K1, K2):
+        assert strat._shape(K1) != strat._shape(K2)
+
+
+def test_empty_complexes_of_any_nominal_dimension_share_one_answer():
+    empties = [empty_complex(d) for d in (-1, 0, 2, 5)]
+    assert len({strat._shape(E) for E in empties}) == 1
+    for E in empties:
+        assert _raw_answers(E) == _raw_answers(empties[0])
+        answers = []
+        for recognise in RECOGNISERS:
+            flag = _Flag()
+            answers.append((recognise(E, flag), flag.heuristic))
+        assert answers == _raw_answers(E)
 
 
 def _klein_bottle(n=4):
