@@ -555,6 +555,17 @@ def glue(
 # Bordisms between stratifications, restratification
 
 
+def _plus_minus(cert: BordismCertificate, provenance: str) -> BordismCertificate:
+    """cert with each piece, and its collar, relabelled "plus" or "minus" by sign."""
+    pieces = []
+    collars = {}
+    for p in cert.pieces:
+        label = "plus" if p.sign == +1 else "minus"
+        pieces.append(dataclasses.replace(p, label=label))
+        collars[label] = cert.collars[p.label]
+    return BordismCertificate(cert.Y, tuple(pieces), collars, provenance)
+
+
 def bordism_between_stratifications(
     FX: FilteredComplex, FX2: FilteredComplex
 ) -> BordismCertificate:
@@ -574,15 +585,7 @@ def bordism_between_stratifications(
     Y2 = reverse_certificate(bordism_to_intrinsic(FX2))
     ident = LabeledIsomorphism({v: v for v in FX.complex.vertices})
     out = glue(Y1, Y2, ("minus", "minus"), ident)
-    pieces = []
-    collars = {}
-    for p in out.pieces:
-        label = "plus" if p.sign == +1 else "minus"
-        pieces.append(dataclasses.replace(p, label=label))
-        collars[label] = out.collars[p.label]
-    return BordismCertificate(
-        out.Y, tuple(pieces), collars, "bordism_between_stratifications"
-    )
+    return _plus_minus(out, "bordism_between_stratifications")
 
 
 def restratify_bordism(
@@ -618,13 +621,7 @@ def restratify_bordism(
     step1 = glue(B1, cert, ("minus", "plus"))
     B2 = bordism_between_stratifications(Zp.space, Z)
     step2 = glue(step1, B2, ("minus", "plus"))
-    pieces = []
-    collars = {}
-    for p in step2.pieces:
-        label = "plus" if p.sign == +1 else "minus"
-        pieces.append(dataclasses.replace(p, label=label))
-        collars[label] = step2.collars[p.label]
-    return BordismCertificate(step2.Y, tuple(pieces), collars, "restratify_bordism")
+    return _plus_minus(step2, "restratify_bordism")
 
 
 # ---------------------------------------------------------------------------

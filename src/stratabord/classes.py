@@ -21,7 +21,6 @@ from .errors import (
     InternalInvariantBreach,
     KindMismatch,
     NotPseudomanifold,
-    NotValidated,
     UnknownName,
     UnsupportedCoefficients,
 )
@@ -33,6 +32,7 @@ from .strat import (
     intrinsic_stratification,
     literal_desuspension,
     polyhedral_link,
+    require_pure,
     singular_faces,
     sphere_like,
     strata,
@@ -64,9 +64,6 @@ class SingularityClass:
     name: str
     kind: str  # "E", "G" or "Siegel"
     predicate: Callable[[SimplicialComplex], ClassVerdict] = dc_field(hash=False)
-    contains_circle: bool = True
-    suspension_closed: bool = True
-    desuspension_closed: bool = False
     # Verdicts by K.facets, one dict per class object: not by shape as in `strat`,
     # because a witness names vertices (`core_facets`, a nested `link`).
     _verdicts: Dict[object, ClassVerdict] = dc_field(
@@ -275,14 +272,9 @@ BUILTIN_NAMES = (
 # Link conditions on stratified spaces
 
 
-def _light_guard(FX: FilteredComplex):
-    if not FX.complex.is_empty() and not FX.complex.is_pure:
-        raise NotValidated("carrier is not totally n-dimensional")
-
-
 def links_in_class(FX: FilteredComplex, E: SingularityClass) -> ClassVerdict:
     """Is every stratum link of FX a member of E?  (The C_E membership test.)"""
-    _light_guard(FX)
+    require_pure(FX)
     heur = FX.heuristic
     for S in strata(FX):
         if S.regular:
@@ -338,12 +330,7 @@ def g_of_e_membership(K: SimplicialComplex, E: SingularityClass) -> ClassVerdict
 
 
 def g_of_e(E: SingularityClass) -> SingularityClass:
-    return SingularityClass(
-        f"G[{E.name}]",
-        "G",
-        lambda K: g_of_e_membership(K, E),
-        desuspension_closed=True,
-    )
+    return SingularityClass(f"G[{E.name}]", "G", lambda K: g_of_e_membership(K, E))
 
 
 def e_of_g(G: SingularityClass) -> SingularityClass:

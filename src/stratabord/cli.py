@@ -18,12 +18,14 @@ from . import algebra, bordism, catalog, classes, ih, jsonio
 from .classes import SingularityClass
 from .errors import (
     InternalInvariantBreach,
+    NotValidated,
     StrataError,
     UnknownName,
 )
 from .strat import (
     FilteredComplex,
     intrinsic_stratification,
+    require_pure,
     strata,
     stratum_link,
     trivial_filtration,
@@ -140,6 +142,7 @@ def _cmd_stratify(args) -> int:
 
 def _cmd_links(args) -> int:
     FX, digest = _load_space(args.space)
+    require_pure(FX)
     rows = []
     for S in strata(FX):
         if S.regular and not args.all:
@@ -335,6 +338,13 @@ def _cert_report(cert, args, command: str) -> Tuple[Dict[str, Any], list]:
     return report, lines
 
 
+def _require_closed(FX: FilteredComplex, ref: str) -> None:
+    """A bordism source that is no closed stratified pseudomanifold is bad input."""
+    rep = validate_stratified_pseudomanifold(FX, "closed")
+    if not rep.passed:
+        raise NotValidated(f"{ref} fails clauses {rep.failing()}")
+
+
 def _cmd_bordism(args) -> int:
     if args.mode == "verify":
         cert, digest = _load_certificate(args.space)
@@ -354,6 +364,7 @@ def _cmd_bordism(args) -> int:
         return 0 if rep.passed else 1
     FX, _d = _load_space(args.space)
     if args.mode == "to-intrinsic":
+        _require_closed(FX, args.space)
         cert = bordism.bordism_to_intrinsic(FX)
     elif args.mode == "cylinder":
         cert = bordism.cylinder(FX)
@@ -361,6 +372,8 @@ def _cmd_bordism(args) -> int:
         if not args.other:
             raise StrataError("bordism between needs a second space")
         FX2, _d2 = _load_space(args.other)
+        _require_closed(FX, args.space)
+        _require_closed(FX2, args.other)
         cert = bordism.bordism_between_stratifications(FX, FX2)
     else:
         raise StrataError(f"unknown bordism mode {args.mode!r}")

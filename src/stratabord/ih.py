@@ -28,8 +28,8 @@ from typing import List, Optional, Tuple
 from . import algebra
 from .algebra import Ring, SparseMatrix, ZZ
 from .complexes import Simplex, build_complex, simplex
-from .errors import NotValidated, PerversityViolation
-from .strat import FilteredComplex, filtered_by_depth
+from .errors import PerversityViolation
+from .strat import FilteredComplex, filtered_by_depth, require_pure
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,7 @@ def intersection_homology(
     n = FX.dim
     if n < 0:
         return []
-    if not FX.complex.is_pure:
-        raise NotValidated("carrier is not totally n-dimensional")
+    require_pure(FX)
     if p.top < n and not FX.skeleton(n - p.top - 1).is_empty():
         raise PerversityViolation("perversity table too short for this filtration")
     FX = ensure_full(FX)

@@ -26,7 +26,6 @@ from .complexes import (
     OrientationAssignment,
     Simplex,
     SimplicialComplex,
-    barycentric_subdivision,
     collapses_to_point,
     empty_complex,
     join,
@@ -41,11 +40,8 @@ from .errors import (
     NotClassical,
     NotPseudomanifold,
     NoTopSimplex,
+    NotValidated,
 )
-
-
-# Barycentric subdivisions `stratum_link` may take to find a top simplex.
-SUBDIV_LIMIT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +156,6 @@ def trivial_filtration(
     return make_filtered(K, {}, boundary, orientation)
 
 
-def subdivide_filtered(FX: FilteredComplex):
-    """Barycentric subdivision with the induced filtration; returns (FX', provenance).
-
-    A chain of faces lies in X^j, or in ∂X, when its largest face does.
-    Vertex ids grow with face size, so that face is the last vertex's.
-    """
-    K2, prov = barycentric_subdivision(FX.complex)
-    boundary = None
-    if FX.boundary is not None:
-        boundary = [c for c in K2.faces if prov[c[-1]] in FX.boundary.faces]
-    out = filtered_by_depth(
-        K2, lambda c: FX.depth[prov[c[-1]]], boundary, None, FX.classical, FX.heuristic
-    )
-    return out, prov
-
-
 # ---------------------------------------------------------------------------
 # Strata
 
@@ -263,23 +243,23 @@ def _restrict_to_skeleta(
 def stratum_link(FX: FilteredComplex, S: Stratum) -> FilteredComplex:
     """Link of a top simplex of the stratum, with the induced shifted filtration.
 
-    If the stratum has no top simplex, the complex is barycentrically
-    subdivided (at most SUBDIV_LIMIT times) until one exists.
+    A singular stratum with no top simplex raises NoTopSimplex.  No barycentric
+    subdivision would give it one while X^j has dimension ≤ j (clause (a)): a
+    chain of faces lies in the subdivided stratum only when its largest face
+    lies in S, and that face has dimension < j, so the chain has at most j faces.
     """
     if S.regular:
         return trivial_filtration(empty_complex(-1))
-    cur, cur_S, rounds = FX, S, 0
-    while not cur_S.top_simplices:
-        if rounds >= SUBDIV_LIMIT:
-            raise NoTopSimplex("stratum has no top simplex within the subdivision limit")
-        ref = max(cur_S.simplices, key=len)
-        cur, prov = subdivide_filtered(cur)
-        rounds += 1
-        vert = next(v for v, f in prov.items() if f == ref)
-        cur_S = next(T for T in strata(cur) if (vert,) in T.simplices)
-    s = cur_S.top_simplices[0]
-    L = link(cur.complex, s)
-    return _restrict_to_skeleta(cur, L, s)
+    tops = S.top_simplices
+    if not tops:
+        raise NoTopSimplex(f"stratum of dim {S.dim} has no top simplex")
+    return _restrict_to_skeleta(FX, link(FX.complex, tops[0]), tops[0])
+
+
+def require_pure(FX: FilteredComplex):
+    """Raise NotValidated unless the carrier is empty or pure (clause (b))."""
+    if not FX.complex.is_empty() and not FX.complex.is_pure:
+        raise NotValidated("carrier is not totally n-dimensional")
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +469,13 @@ def polyhedral_link(L: SimplicialComplex, d: int) -> SimplicialComplex:
 
 
 def germ_partition(
-    K: SimplicialComplex,
-    flag: Optional[_Flag] = None,
-    keep: Optional[Callable[[Simplex], bool]] = None,
+    K: SimplicialComplex, flag: _Flag, keep: Optional[Callable[[Simplex], bool]] = None
 ) -> List[Tuple[object, List[Simplex]]]:
     """Group the singular faces of K that pass `keep` by germ invariant.
 
     Returns (invariant, faces) pairs, one per connected class of singular
     faces with equal invariant under face adjacency.
     """
-    if flag is None:
-        flag = _Flag()
     inv = {
         f: complex_invariant(polyhedral_link(L, len(f) - 1), flag)
         for f, L in singular_faces(K, flag, keep)
@@ -788,34 +764,22 @@ def validate_stratified_pseudomanifold(
                 continue
             tops = S.top_simplices
             if not tops:
-                try:
-                    LF = stratum_link(FX, S)
-                except NoTopSimplex:
-                    ok_f, det_f = False, f"stratum of dim {S.dim} has no top simplex"
-                    break
-                sub_links = [LF]
-            else:
-                sub_links = []
-                seen = set()
-                for s in tops:
-                    L = link(K, s)
-                    if L.facets in seen:
-                        continue
-                    seen.add(L.facets)
-                    sub_links.append(_restrict_to_skeleta(FX, L, s))
-            for LF in sub_links:
-                if LF.dim != n - S.dim - 1:
-                    ok_f = False
-                    det_f = f"link of stratum dim {S.dim} has dimension {LF.dim}"
-                    break
+                ok_f, det_f = False, f"stratum of dim {S.dim} has no top simplex"
+                break
+            # K is pure by clause (b), so each link has dimension n − dim S − 1.
+            seen = set()
+            for s in tops:
+                L = link(K, s)
+                if L.facets in seen:
+                    continue
+                seen.add(L.facets)
+                LF = _restrict_to_skeleta(FX, L, s)
                 rep = validate_stratified_pseudomanifold(LF, "closed", _depth + 1)
                 if rep.heuristic:
                     flag.heuristic = True
                 if not rep.passed:
                     ok_f = False
-                    det_f = (
-                        f"link of stratum dim {S.dim} fails clauses {rep.failing()}"
-                    )
+                    det_f = f"link of stratum dim {S.dim} fails clauses {rep.failing()}"
                     break
             if not ok_f:
                 break

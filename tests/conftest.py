@@ -7,12 +7,13 @@ from stratabord import catalog
 from stratabord.bordism import bordism_to_intrinsic
 from stratabord.complexes import (
     OrientationAssignment,
+    barycentric_subdivision,
     boundary_subcomplex,
     build_complex,
     cone,
     orient,
 )
-from stratabord.strat import make_filtered
+from stratabord.strat import filtered_by_depth, make_filtered
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,22 @@ def cones_with_boundary(entries, names=("S1", "S2", "T2", "Sigma-S1")):
                 skeleta[j + 1] = [f + (apex,) for f in FX.skeleton(j).faces]
             out.append(make_filtered(K, skeleta, FX.complex.facets, orient(K)))
     return out
+
+
+def subdivide_filtered(FX):
+    """Barycentric subdivision with the induced filtration; returns (FX', provenance).
+
+    A chain of faces lies in X^j, or in ∂X, when its largest face does.
+    Vertex ids grow with face size, so that face is the last vertex's.
+    """
+    K2, prov = barycentric_subdivision(FX.complex)
+    boundary = None
+    if FX.boundary is not None:
+        boundary = [c for c in K2.faces if prov[c[-1]] in FX.boundary.faces]
+    out = filtered_by_depth(
+        K2, lambda c: FX.depth[prov[c[-1]]], boundary, None, FX.classical, FX.heuristic
+    )
+    return out, prov
 
 
 def random_complex(rng: random.Random, nverts: int = 6, nfacets: int = 5, dim: int = 2):

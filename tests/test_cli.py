@@ -328,3 +328,60 @@ def test_reports_are_deterministic_and_jobs_independent(capsys):
 def test_bad_subcommand_usage():
     assert run(["frobnicate"]) == 2
     assert run(["glue", "a.json", "b.json", "--along", "onlyone"]) == 2
+
+
+@pytest.fixture()
+def over_dimensioned_s2(tmp_path):
+    """The oriented S² with skeleta [[01, 02, 12], [012]]: X⁰ has dimension 1,
+    and the 1-stratum, the open triangle 012, has no edge."""
+    path = tmp_path / "s2.json"
+    assert run(["catalog", "emit", "S2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["skeleta"] = [[[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_over_dimensioned_skeleton_is_usage_error(over_dimensioned_s2, capsys):
+    for argv in (
+        ["links"],
+        ["classify", "--class", "witt:Q"],
+        ["classify", "--class", "ip"],
+        ["bordism", "to-intrinsic"],
+    ):
+        assert_usage_error(argv + [over_dimensioned_s2], capsys)
+    code, out = run_capture(capsys, ["validate", over_dimensioned_s2, "--json"])
+    assert code == 1
+    assert json.loads(out)["clauses"][0] == {
+        "clause": "a",
+        "passed": False,
+        "detail": "skeleton 0 has dimension 1",
+    }
+
+
+def test_bordism_of_an_invalid_stratification_is_usage_error(tmp_path, capsys):
+    from stratabord import catalog
+    from stratabord.strat import trivial_filtration
+
+    FX = catalog.get("Sigma-T2").stratifications[0]
+    path = tmp_path / "trivial.json"
+    doc = jsonio.filtration_to_json(trivial_filtration(FX.complex, None, FX.orientation))
+    jsonio.write_file(str(path), doc)
+    assert_usage_error(["bordism", "to-intrinsic", str(path)], capsys)
+    assert_usage_error(["bordism", "between", str(path), "catalog:Sigma-T2"], capsys)
+
+
+def test_links_of_an_impure_complex_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "impure.json"
+    path.write_text(json.dumps({"type": "complex", "facets": [[0, 1, 2], [3, 4]]}))
+    assert_usage_error(["links", "--all", str(path)], capsys)
+
+
+def test_bordism_between_two_stratifications(capsys):
+    code, out = run_capture(
+        capsys, ["bordism", "between", "catalog:Sigma-T2:0", "catalog:Sigma-T2:1", "--json"]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert [(p["label"], p["sign"]) for p in report["pieces"]] == [("plus", 1), ("minus", -1)]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cones_with_boundary
+from conftest import cones_with_boundary, subdivide_filtered
 from stratabord import algebra, catalog
 from stratabord.algebra import GF, QQ, ZZ
 from stratabord.complexes import build_complex, cone, suspension, suspension_poles
@@ -27,7 +27,7 @@ from stratabord.ih import (
     upper_middle,
     zero_perversity,
 )
-from stratabord.strat import make_filtered, subdivide_filtered, trivial_filtration
+from stratabord.strat import make_filtered, trivial_filtration
 
 
 # ---------------------------------------------------------------------------

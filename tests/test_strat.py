@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cones_with_boundary, dunce_hat
+from conftest import cones_with_boundary, dunce_hat, subdivide_filtered
 from stratabord import catalog, strat
 from stratabord.algebra import QQ, ZZ, HomologyGroup, homology
 from stratabord.bordism import bordism_to_intrinsic, cylinder
@@ -31,6 +31,7 @@ from stratabord.complexes import (
 from stratabord.errors import (
     DifferentCarrier,
     MalformedFiltration,
+    NoTopSimplex,
     NotPseudomanifold,
 )
 from stratabord.ih import intersection_homology, lower_middle, upper_middle
@@ -52,7 +53,6 @@ from stratabord.strat import (
     ball_like,
     strata,
     stratum_link,
-    subdivide_filtered,
     trivial_filtration,
     validate_stratified_pseudomanifold,
 )
@@ -794,3 +794,26 @@ def test_strata_are_computed_once_per_filtration(entries):
     for _ in range(2):
         with pytest.raises(MalformedFiltration):
             strata(bad)
+
+
+def test_a_stratum_without_a_top_simplex_has_no_link():
+    # X¹ = {0} on S²: the 1-stratum is one vertex, and clause (a) holds, so no
+    # subdivision could give it an edge.
+    FX = make_filtered(catalog.get("S2").complex, {1: [(0,)]}, classical=False)
+    S = next(S for S in strata(FX) if S.dim == 1)
+    with pytest.raises(NoTopSimplex, match="stratum of dim 1 has no top simplex"):
+        stratum_link(FX, S)
+    rep = validate_stratified_pseudomanifold(FX)
+    assert rep.clause("a").passed
+    assert rep.clause("f").detail == "stratum of dim 1 has no top simplex"
+
+
+def test_clause_f_names_the_clauses_a_stratum_link_fails():
+    # The suspended figure-eight with both poles in X⁰: each pole's link is
+    # the figure-eight, whose wedge vertex lies in four edges.
+    eight = build_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+    north, south = suspension_poles(eight)
+    FX = make_filtered(suspension(eight), {0: [(north,), (south,)]})
+    rep = validate_stratified_pseudomanifold(FX)
+    assert rep.clause("a").passed and rep.clause("d").passed
+    assert rep.clause("f").detail == "link of stratum dim 0 fails clauses ['e']"
