@@ -13,13 +13,12 @@ tracking on, it also keeps the certificates U (by rows) and V (by columns)
 used by `smith_normal_form`, which checks U·M·V = diag(d), `kernel_basis`
 and `solve_exact`.
 
-Homology reduces a chain complex from the top degree down and clears
-(Chen–Kerber, *Persistent homology computation with a twist*): ∂_i drops
-every column that was the row of a unit pivot of ∂_{i+1}.  Since ∂∂ = 0
-this keeps the image lattice of ∂_i, so its rank and its nonzero invariant
-factors (see `homology_of_chain_complex`).  The same kernel, with a row set
-pivoted first, gives intersection homology over fields its two ranks per
-degree in one walk (`ih._field_ranks`).
+With rows F pivoted first, `_eliminate` gives the rank of F and the
+invariant factors of the other rows on ker F.  Homology of the chains on a
+set of cells with boundary on the cells (`homology_of_allowable_chains`,
+plain homology with every face a cell, IH with the allowable simplices)
+runs one loop, `_reduce`, from the top degree down, and clears (Chen–Kerber,
+*Persistent homology computation with a twist*).
 """
 
 from __future__ import annotations
@@ -164,7 +163,7 @@ def _row_sub(rows, cols, r: int, src: Dict[int, int], q: int, p: Optional[int] =
 class _Reduction(NamedTuple):
     """What `_eliminate` reports."""
 
-    diag: List[int]  # |pivot values|: the unit pivots, then the residual's divisibility chain
+    diag: List[int]  # invariant factors, 1s of the unit pivots first (see `_eliminate`)
     unit_rows: List[int]  # rows of the unit pivots, in the order taken
     first_rank: int  # rank of the rows pivoted first
     U: Optional[SparseMatrix]
@@ -183,12 +182,17 @@ def _eliminate(
     residual goes to `_smith_residual`; mod p nothing is left, and only
     len(diag), the rank, is meaningful.
 
-    The rows in `first` are pivoted first: a column with an entry in a
-    remaining row of `first` takes its pivot only among those rows, and over
-    ℤ leaves it to the residual when none of those entries is a unit.  So a
-    pivot outside `first` only ever changes rows outside `first`, and the
-    rows of `first` are reduced among themselves: their rank is the pivots
-    taken in them plus the rank of their part of the residual.
+    The rows F in `first` are pivoted first: a column with an entry in a
+    remaining row of F takes its pivot only among those rows, and over ℤ
+    leaves it to the residual when none of those entries is a unit.  Then
+    diag is the invariant factors of the other rows G on ker F, that is of
+    G·kernel_basis(F), and first_rank = rank F, so len(diag) + first_rank =
+    rank M.  Why: a pivot in F adds rows of F to others, which keeps G on
+    ker F, and a pivot in G has no entry of F in its column.  So a unit
+    pivot in F removes a column through the kernel constraint and adds no
+    factor, one in G adds a factor 1, and the residual, zero on the pivot
+    columns, takes kernel_basis of its F rows, then the Smith form of its G
+    rows on that kernel.  Track is for F empty only.
 
     With track, U is kept by rows and V by columns.  A pivot's column holds
     only the pivot once it is cleared, so the column operations that clear
@@ -233,12 +237,17 @@ def _eliminate(
         pivots.append((pivot, c, v))
     unit_rows = [r for r, _c, _v in pivots]
     first_rank = sum(r in first for r in unit_rows)
+    if rows.keys() & first:
+        blocks: Tuple[dict, dict] = ({}, {})
+        for r, row in rows.items():
+            blocks[r in first].update(((r, c), v) for c, v in row.items())
+        G, F = (SparseMatrix(M.nrows, M.ncols, b) for b in blocks)
+        B = kernel_basis(F)
+        diag = [1] * (len(unit_rows) - first_rank) + invariant_factors(G.times(B))
+        return _Reduction(diag, unit_rows, first_rank + M.ncols - B.ncols, None, None)
     if rows:
-        if first:
-            rest = {(r, c): v for r in rows if r in first for c, v in rows[r].items()}
-            first_rank += len(_eliminate(SparseMatrix(M.nrows, M.ncols, rest)).diag)
         pivots += _smith_residual(rows, cols, U, V)
-    diag = [abs(v) for _r, _c, v in pivots]
+    diag = [abs(v) for r, _c, v in pivots if r not in first]
     if not track:
         return _Reduction(diag, unit_rows, first_rank, None, None)
     sign = {r: 1 if v > 0 else -1 for r, _c, v in pivots}
@@ -402,57 +411,71 @@ def boundary_matrix(
     return SparseMatrix(len(rows), len(cols), entries)
 
 
+def _reduce(dims: List[int], boundary, ring: Ring) -> List[HomologyGroup]:
+    """Homology of a free chain complex with dims[i] generators in degree i.
+
+    boundary(i, drop) builds ∂_i without the columns in `drop` and returns
+    it with its rows F to pivot first; its other rows G index the columns of
+    ∂_{i−1}.  The chains are those with ∂ off F: H_i has rank dims[i] −
+    rank ∂_i − rank(G_{i+1} on ker F_{i+1}), over ℤ with the torsion of the
+    latter.  Clearing: ∂_{i−1} drops the rows R of the unit pivots of ∂_i in
+    G.  The pivot block is unimodular and the other rows vanish on its
+    columns, so each r ∈ R has an integral z with F z = 0 and G z = e_r + y,
+    y off R up to r; by ∂∂z = 0 and induction from the last pivot, ∂e_r is
+    in the span of the columns off R.  So ∂_{i−1} keeps its image lattice:
+    its rank, the rank of F_{i−1} and the lattice of G_{i−1} on ker F_{i−1}.
+    """
+    top = len(dims) - 1
+    reds = [_Reduction([], [], 0, None, None)] * (top + 2)
+    drop: set = set()
+    for i in range(top, 0, -1):
+        M, first = boundary(i, drop)
+        reds[i] = _eliminate(M, ring.p, first=first)
+        drop = {r for r in reds[i].unit_rows if r not in first}
+    out = []
+    for i in range(top + 1):
+        image = reds[i + 1].diag  # of G_{i+1} on ker F_{i+1}
+        rank = dims[i] - len(reds[i].diag) - reds[i].first_rank - len(image)
+        out.append(HomologyGroup(rank, tuple(d for d in image if d > 1) if ring == ZZ else ()))
+    return out
+
+
 def homology_of_chain_complex(
     dims: List[int], boundaries: List[Optional[SparseMatrix]], ring: Ring
 ) -> List[HomologyGroup]:
-    """Homology of a free chain complex; boundaries[i] maps degree i to i−1.
+    """Homology of a free chain complex; boundaries[i] maps degree i to i−1,
+    None for a zero map.  ∂∂ = 0 must hold: `_reduce` clears."""
 
-    boundaries[0] may be None (zero map).  Torsion of H_i over ℤ is read off
-    the invariant factors of ∂_{i+1}.  The boundaries must satisfy ∂∂ = 0:
-    the complex is reduced from the top degree down, and ∂_i drops the
-    columns that were rows R of the unit pivots of ∂_{i+1} (clearing).
+    def boundary(i, drop):
+        M = boundaries[i] or SparseMatrix(0, 0, {})
+        kept = {rc: v for rc, v in M.entries.items() if rc[1] not in drop}
+        return SparseMatrix(M.nrows, M.ncols, kept), frozenset()
 
-    Why that is sound: the block of ∂_{i+1} on R and the unit pivot columns
-    is unimodular, so each r ∈ R has an integral z with ∂z = e_r + y, y off
-    R.  Then ∂_i e_r = −∂_i y, and ∂_i has the same image lattice with or
-    without the columns R: the same rank and the same nonzero invariant
-    factors, which are unique and come out as a divisibility chain.  Rows of
-    the non-unit residual are never cleared.
-    """
-    top = len(dims) - 1
-    ranks = [0] * (top + 2)
-    torsions: List[Tuple[int, ...]] = [()] * (top + 2)
-    cleared: set = set()
-    for i in range(top, 0, -1):
-        M = boundaries[i]
-        if M is None or not M.entries:
-            cleared = set()
-            continue
-        if cleared:
-            kept = {rc: v for rc, v in M.entries.items() if rc[1] not in cleared}
-            M = SparseMatrix(M.nrows, M.ncols, kept)
-        red = _eliminate(M, ring.p)
-        ranks[i] = len(red.diag)
-        if ring.kind == "Z":
-            torsions[i] = tuple(d for d in red.diag if d > 1)
-        cleared = set(red.unit_rows)
-    out = []
-    for i in range(top + 1):
-        rank = dims[i] - ranks[i] - ranks[i + 1]
-        tors = torsions[i + 1] if ring.kind == "Z" else ()
-        out.append(HomologyGroup(rank, tors))
-    return out
+    return _reduce(dims, boundary, ring)
+
+
+def homology_of_allowable_chains(
+    K: SimplicialComplex, cells: List[List[Simplex]], ring: Ring
+) -> List[HomologyGroup]:
+    """Homology of the chains ξ on the i-simplices cells[i] with ∂ξ on
+    cells[i−1]; ∂_i maps into cells[i−1] and then, pivoted first, the other
+    (i−1)-faces of K.  With every face a cell this is the homology of K."""
+
+    def boundary(i, drop):
+        good = set(cells[i - 1])
+        rows = cells[i - 1] + [s for s in K.faces_of_dim(i - 1) if s not in good]
+        cols = [s for j, s in enumerate(cells[i]) if j not in drop]
+        return boundary_matrix(K, i, cols, rows), frozenset(range(len(good), len(rows)))
+
+    return _reduce([len(c) for c in cells], boundary, ring)
 
 
 def homology(K: SimplicialComplex, ring: Ring = ZZ, reduced: bool = False) -> List[HomologyGroup]:
     """Simplicial homology in all degrees 0..dim K."""
     if K.is_empty():
         return []
-    dims = [len(K.faces_of_dim(i)) for i in range(K.dim + 1)]
-    boundaries: List[Optional[SparseMatrix]] = [None]
-    for i in range(1, K.dim + 1):
-        boundaries.append(boundary_matrix(K, i))
-    groups = homology_of_chain_complex(dims, boundaries, ring)
+    cells = [K.faces_of_dim(i) for i in range(K.dim + 1)]
+    groups = homology_of_allowable_chains(K, cells, ring)
     if reduced and groups:
         g0 = groups[0]
         groups[0] = HomologyGroup(max(g0.rank - 1, 0), g0.torsion)

@@ -56,6 +56,7 @@ from .strat import (
     germ_partition,
     intrinsic_stratification,
     make_filtered,
+    require_pure,
     strata,
     validate_stratified_pseudomanifold,
 )
@@ -340,8 +341,9 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
     """
     K = FX.complex
     n = FX.dim
-    if K.is_empty() or not K.is_pure:
-        raise NotValidated("cylinder input must be a pure non-empty complex")
+    if K.is_empty():
+        raise NotValidated("cylinder input must be non-empty")
+    require_pure(FX)
     D1 = build_complex([(0, 1)])
     Yc, vmap = product_with_map(K, D1)
     inv = {i: p for p, i in vmap.items()}

@@ -92,7 +92,7 @@ class SingularityClass:
 # Built-in link conditions
 
 
-def _middle_ih(K: SimplicialComplex, degree: int, ring: Ring):
+def _middle_ih(K: SimplicialComplex, ring: Ring):
     FX = intrinsic_stratification(K)
     p = ih.lower_middle(max(K.dim, 2))
     return ih.intersection_homology(FX, p, ring), FX.heuristic
@@ -103,7 +103,7 @@ def _witt_predicate(ring: Ring):
         d = K.dim
         if d % 2 == 1:
             return _yes("odd dimension; condition vacuous")
-        groups, heur = _middle_ih(K, d // 2, ring)
+        groups, heur = _middle_ih(K, ring)
         g = groups[d // 2]
         if g.rank == 0 and not g.torsion:
             return _yes(f"I^mH_{d//2} = 0 over {ring}", heur)
@@ -121,7 +121,7 @@ def _ip_predicate(K: SimplicialComplex) -> ClassVerdict:
     if d <= 1:
         return _yes("dimension at most 1")
     if d % 2 == 0:
-        groups, heur = _middle_ih(K, d // 2, ZZ)
+        groups, heur = _middle_ih(K, ZZ)
         g = groups[d // 2]
         if g.rank == 0 and not g.torsion:
             return _yes(f"I^mH_{d//2}(Z) = 0", heur)
@@ -131,7 +131,7 @@ def _ip_predicate(K: SimplicialComplex) -> ClassVerdict:
             heur,
         )
     deg = (d - 1) // 2
-    groups, heur = _middle_ih(K, deg, ZZ)
+    groups, heur = _middle_ih(K, ZZ)
     tors = groups[deg].torsion
     if not tors:
         return _yes(f"I^mH_{deg}(Z) torsion-free", heur)
@@ -184,7 +184,7 @@ def _s_duality_predicate(K: SimplicialComplex) -> ClassVerdict:
         degrees = [k, k - 1]
     heur = flag.heuristic
     for deg in degrees:
-        groups, h = _middle_ih(K, deg, F2)
+        groups, h = _middle_ih(K, F2)
         heur = heur or h
         if groups[deg].rank != 0:
             return _no(

@@ -6,16 +6,24 @@ are allowable chains with allowable boundary.  The triangulation must be full
 relative to the filtration; when it is not, `ensure_full` stellar-subdivides
 the simplices that are not full until it is.
 
-Over a field, I^p̄H_i is read off two ranks per degree: of M_i, the boundary
-on the allowable i-simplices A_i, and of N_i, its rows on the (i−1)-faces
-that are not allowable (the bad rows).  One elimination of M_i gives both,
-with the bad rows pivoted first: a good pivot row then only ever touches
-good rows, so rank N_i is the bad pivots plus the rank of the residual's bad
-rows.  The reduced column of a good pivot is a chain z of IC_i, so its row r
-has ∂z = e_r + y with y allowable and off the good pivot rows; ∂∂ = 0 then
-lets M_{i−1} drop r as a column without changing either rank (clearing,
-degree by degree from the top).  Bad pivot rows are never cleared: they
-are not allowable, so they are no columns of M_{i−1}.
+Over every ring I^p̄H_* is the homology of the allowable chains
+(`algebra.homology_of_allowable_chains`; proofs at `algebra._eliminate` and
+`algebra._reduce`).  Split ∂_i on the allowable i-chains A_i into G_i, its
+rows on allowable (i−1)-faces, and N_i, the bad rows.  Then IC_i = ker N_i,
+its cycles Z_i = ker ∂_i and its boundaries G_{i+1}(ker N_{i+1}); one
+elimination of ∂_i per degree, bad rows pivoted first, gives rank N_i and
+the invariant factors of G_i on ker N_i, so rank I^p̄H_i = |A_i| − rank ∂_i
+− (rank ∂_{i+1} − rank N_{i+1}).  Over ℤ:
+
+- a unit pivot in a bad row removes a column through the kernel constraint
+  and adds no factor; one in a good row adds a factor 1;
+- the non-unit residual takes the kernel_basis of its bad rows, then the
+  Smith form of its good rows on that kernel;
+- the torsion of I^p̄H_i is that of A_i / G_{i+1}(ker N_{i+1}), since Z_i,
+  a kernel, is saturated in A_i;
+- clearing stays sound because good pivot blocks are unimodular: a good
+  unit pivot row r of ∂_{i+1} has z ∈ IC_{i+1} with ∂z = e_r + y, y
+  allowable, so ∂_i may drop r as a column.  Bad rows are no columns.
 """
 
 from __future__ import annotations
@@ -23,10 +31,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import algebra
-from .algebra import Ring, SparseMatrix, ZZ
+from .algebra import Ring, ZZ
 from .complexes import Simplex, build_complex, simplex
 from .errors import PerversityViolation
 from .strat import FilteredComplex, filtered_by_depth, require_pure
@@ -159,101 +167,23 @@ def allowable_simplices(FX: FilteredComplex, p: Perversity) -> List[List[Simplex
 
     Requires fullness: σ ∩ X^{n−k} is the face spanned by σ's vertices in it.
     """
-    K = FX.complex
     n = FX.dim
-    skeleton_verts = {}
-    for k in range(2, n + 1):
-        sk = FX.skeleton(n - k)
-        if not sk.is_empty():
-            skeleton_verts[k] = set(sk.vertices)
-    out = []
-    for i in range(n + 1):
-        good = []
-        for s in K.faces_of_dim(i):
-            ok = True
-            for k, vs in skeleton_verts.items():
-                meet = sum(1 for v in s if v in vs)
-                if meet == 0:
-                    continue
-                if meet - 1 > i - k + p.value(k):
-                    ok = False
-                    break
-            if ok:
-                good.append(s)
-        out.append(good)
-    return out
+    # Per codimension k with X^{n−k} non-empty: its vertices, k and p̄(k).
+    skeleta = [
+        (set(FX.skeleton(n - k).vertices), k, p.value(k))
+        for k in range(2, n + 1)
+        if not FX.skeleton(n - k).is_empty()
+    ]
 
+    def allowable(s):
+        i = len(s) - 1
+        for vs, k, pk in skeleta:
+            meet = sum(v in vs for v in s)
+            if meet and meet - 1 > i - k + pk:
+                return False
+        return True
 
-def _field_ranks(FX, p, ring) -> List[int]:
-    """Ranks of I^p̄H_i over ℚ or 𝔽ₚ: |A_i| − rank M_i − rank M_{i+1} + rank N_{i+1}.
-
-    M_i is the boundary on the allowable i-simplices A_i and N_i its rows on
-    the bad (not allowable) (i−1)-faces.  Each M_i is eliminated once, from
-    the top degree down, with the bad rows pivoted first, which gives rank M_i
-    and rank N_i together.  M_{i−1} then drops, as columns, the good unit
-    pivot rows of M_i, which leaves both its ranks unchanged (see the module
-    docstring); the bad ones are no columns of M_{i−1}.  Over ℚ the kernel
-    works over ℤ, whose ranks are the same.
-    """
-    K = FX.complex
-    n = FX.dim
-    allow = allowable_simplices(FX, p)
-    full_rank = [0] * (n + 2)  # rank of ∂_i restricted to allowable columns
-    bad_rank = [0] * (n + 2)  # rank of the composite to the non-allowable quotient
-    cleared: set = set()
-    for i in range(n, 0, -1):
-        cols = [s for s in allow[i] if s not in cleared]
-        cleared = set()
-        if not cols:
-            continue
-        rows = K.faces_of_dim(i - 1)
-        allowed = set(allow[i - 1])
-        bad = frozenset(r for r, s in enumerate(rows) if s not in allowed)
-        M = algebra.boundary_matrix(K, i, cols, rows)
-        red = algebra._eliminate(M, ring.p, first=bad)
-        full_rank[i] = len(red.diag)
-        bad_rank[i] = red.first_rank
-        cleared = {rows[r] for r in red.unit_rows}
-    ranks = []
-    for i in range(n + 1):
-        ranks.append(len(allow[i]) - full_rank[i] - full_rank[i + 1] + bad_rank[i + 1])
-    return ranks
-
-
-def _integral_groups(FX, p) -> List[Tuple[int, Tuple[int, ...]]]:
-    K = FX.complex
-    n = FX.dim
-    allow = allowable_simplices(FX, p)
-    allow_sets = [set(a) for a in allow]
-    # Basis of IC_i = {ξ allowable : ∂ξ allowable} as the saturated kernel of
-    # the composite map to the non-allowable quotient.
-    bases: List[SparseMatrix] = []
-    for i in range(n + 1):
-        cols = allow[i]
-        if not cols:
-            bases.append(SparseMatrix(0, 0, {}))
-            continue
-        bad_rows = (
-            [s for s in K.faces_of_dim(i - 1) if s not in allow_sets[i - 1]]
-            if i > 0
-            else []
-        )
-        if bad_rows:
-            N = algebra.boundary_matrix(K, i, cols, bad_rows)
-            bases.append(algebra.kernel_basis(N))
-        else:
-            bases.append(algebra.identity_matrix(len(cols)))
-    dims = [b.ncols for b in bases]
-    boundaries: List[Optional[SparseMatrix]] = [None]
-    for i in range(1, n + 1):
-        if dims[i] == 0 or dims[i - 1] == 0:
-            boundaries.append(None)
-            continue
-        D = algebra.boundary_matrix(K, i, allow[i], allow[i - 1])
-        B = D.times(bases[i])
-        boundaries.append(algebra.solve_exact(bases[i - 1], B))
-    groups = algebra.homology_of_chain_complex(dims, boundaries, ZZ)
-    return [(g.rank, g.torsion) for g in groups]
+    return [[s for s in FX.complex.faces_of_dim(i) if allowable(s)] for i in range(n + 1)]
 
 
 def intersection_homology(
@@ -261,17 +191,12 @@ def intersection_homology(
 ) -> List[IHGroup]:
     """I^p̄H_* of the filtered complex; exact over ℤ, ℚ and prime fields."""
     n = FX.dim
-    if n < 0:
-        return []
     require_pure(FX)
     if p.top < n and not FX.skeleton(n - p.top - 1).is_empty():
         raise PerversityViolation("perversity table too short for this filtration")
     FX = ensure_full(FX)
-    if ring.kind == "Z":
-        data = _integral_groups(FX, p)
-        return [IHGroup(i, r, t) for i, (r, t) in enumerate(data)]
-    ranks = _field_ranks(FX, p, ring)
-    return [IHGroup(i, r) for i, r in enumerate(ranks)]
+    groups = algebra.homology_of_allowable_chains(FX.complex, allowable_simplices(FX, p), ring)
+    return [IHGroup(i, g.rank, g.torsion) for i, g in enumerate(groups)]
 
 
 def ih_torsion(FX: FilteredComplex, p: Perversity, degree: int) -> Tuple[int, ...]:

@@ -257,9 +257,13 @@ def stratum_link(FX: FilteredComplex, S: Stratum) -> FilteredComplex:
 
 
 def require_pure(FX: FilteredComplex):
-    """Raise NotValidated unless the carrier is empty or pure (clause (b))."""
+    """Raise NotValidated unless the carrier is empty or pure (clause (b))
+    and each X^j, j < n, has dimension at most j (clause (a))."""
     if not FX.complex.is_empty() and not FX.complex.is_pure:
         raise NotValidated("carrier is not totally n-dimensional")
+    for j in range(FX.dim):
+        if FX.skeleton(j).dim > j:
+            raise NotValidated(f"skeleton {j} has dimension {FX.skeleton(j).dim}")
 
 
 # ---------------------------------------------------------------------------

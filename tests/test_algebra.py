@@ -494,18 +494,21 @@ def test_residual_pivot_row_is_not_cleared():
 # Rows pivoted first
 
 
+def _rows(M, rows):
+    return SparseMatrix(M.nrows, M.ncols, {rc: v for rc, v in M.entries.items() if rc[0] in rows})
+
+
 def _rank_of_rows(M, rows, ring):
-    return rank_over(SparseMatrix(M.nrows, M.ncols, {
-        rc: v for rc, v in M.entries.items() if rc[0] in rows
-    }), ring)
+    return rank_over(_rows(M, rows), ring)
 
 
 def test_rows_pivoted_first_report_their_own_rank():
     # Row 0 is pivoted first and holds only 2s: neither column may take the
-    # unit pivot of row 1, and row 0's rank comes from the residual.
+    # unit pivot of row 1, and row 0's rank comes from the residual.  Row 1
+    # vanishes on ker(row 0), so it adds no factor: rank M = 0 + 1.
     M = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1})
     red = _eliminate(M, first=frozenset({0}))
-    assert (len(red.diag), red.first_rank, red.unit_rows) == (1, 1, [])
+    assert (len(red.diag), red.first_rank, red.unit_rows) == (0, 1, [])
 
 
 def test_rows_pivoted_first_randomized():
@@ -519,12 +522,38 @@ def test_rows_pivoted_first_randomized():
         first = frozenset(r for r in range(m) if rng.random() < 0.5)
         for ring in (QQ, GF(2), GF(3)):
             red = _eliminate(M, ring.p, first=first)
-            assert len(red.diag) == rank_over(M, ring)
+            assert len(red.diag) + red.first_rank == rank_over(M, ring)
             assert red.first_rank == _rank_of_rows(M, first, ring)
             if ring.p:
-                assert len(red.unit_rows) == len(red.diag)
+                assert len(red.unit_rows) == len(red.diag) + red.first_rank
             else:
                 from_residual += red.first_rank > sum(r in first for r in red.unit_rows)
         # Without rows pivoted first the kernel is unchanged.
         assert _eliminate(M).diag == invariant_factors(M)
     assert from_residual >= 20
+
+
+def test_rows_pivoted_first_give_the_factors_on_their_kernel():
+    # Over ℤ, diag is the invariant factors of the other rows G on the
+    # kernel of the rows N pivoted first, and first_rank is rank N.  Entries
+    # in {±1, ±2, ±3} leave a residual with rows of N in many trials.
+    rng = random.Random(47)
+    with_torsion = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        M = SparseMatrix(m, n, {
+            (i, j): rng.choice((-3, -2, -1, 1, 2, 3))
+            for i in range(m)
+            for j in range(n)
+            if rng.random() < 0.5
+        })
+        first = frozenset(r for r in range(m) if rng.random() < 0.5)
+        N, G = _rows(M, first), _rows(M, set(range(m)) - first)
+        red = _eliminate(M, first=first)
+        assert red.diag == invariant_factors(G.times(kernel_basis(N)))
+        assert red.first_rank == rank_over(N, ZZ)
+        assert len(red.diag) + red.first_rank == rank_over(M, ZZ)
+        # The residual met rows of N and gave G a factor above 1 on ker N.
+        residual = red.first_rank > sum(r in first for r in red.unit_rows)
+        with_torsion += residual and any(d > 1 for d in red.diag)
+    assert with_torsion >= 20

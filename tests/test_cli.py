@@ -348,6 +348,8 @@ def test_over_dimensioned_skeleton_is_usage_error(over_dimensioned_s2, capsys):
         ["classify", "--class", "witt:Q"],
         ["classify", "--class", "ip"],
         ["bordism", "to-intrinsic"],
+        ["ih"],
+        ["bordism", "cylinder"],
     ):
         assert_usage_error(argv + [over_dimensioned_s2], capsys)
     code, out = run_capture(capsys, ["validate", over_dimensioned_s2, "--json"])

@@ -16,7 +16,6 @@ from stratabord.complexes import build_complex, cone, suspension, suspension_pol
 from stratabord.errors import NotValidated, PerversityViolation
 from stratabord.ih import (
     Perversity,
-    _field_ranks,
     allowable_simplices,
     ensure_full,
     ih_torsion,
@@ -337,7 +336,7 @@ def test_star_of_a_simplex_in_a_skeleton():
 
 
 # ---------------------------------------------------------------------------
-# One elimination per degree for the field ranks
+# One elimination per degree, over every ring
 
 
 def two_matrix_field_ranks(FX, p, ring):
@@ -363,13 +362,66 @@ def two_matrix_field_ranks(FX, p, ring):
     ]
 
 
-def test_field_ranks_match_two_matrix_routine(entries, sigma_t2_carriers):
+def integral_groups(FX, p):
+    """I^p̄H_*(FX; ℤ) as (rank, torsion) per degree, from a basis of IC_*.
+
+    IC_i is the saturated kernel of the map to the non-allowable quotient;
+    its boundary is solved in the basis of IC_{i−1} and the resulting chain
+    complex goes to `homology_of_chain_complex`.
+    """
+    K = FX.complex
+    n = FX.dim
+    allow = allowable_simplices(FX, p)
+    allow_sets = [set(a) for a in allow]
+    bases = []
+    for i in range(n + 1):
+        cols = allow[i]
+        if not cols:
+            bases.append(algebra.SparseMatrix(0, 0, {}))
+            continue
+        bad_rows = (
+            [s for s in K.faces_of_dim(i - 1) if s not in allow_sets[i - 1]]
+            if i > 0
+            else []
+        )
+        if bad_rows:
+            N = algebra.boundary_matrix(K, i, cols, bad_rows)
+            bases.append(algebra.kernel_basis(N))
+        else:
+            bases.append(algebra.identity_matrix(len(cols)))
+    dims = [b.ncols for b in bases]
+    boundaries = [None]
+    for i in range(1, n + 1):
+        if dims[i] == 0 or dims[i - 1] == 0:
+            boundaries.append(None)
+            continue
+        D = algebra.boundary_matrix(K, i, allow[i], allow[i - 1])
+        B = D.times(bases[i])
+        boundaries.append(algebra.solve_exact(bases[i - 1], B))
+    groups = algebra.homology_of_chain_complex(dims, boundaries, ZZ)
+    return [(g.rank, g.torsion) for g in groups]
+
+
+def _ih_test_spaces(entries, sigma_t2_carriers):
     spaces = [FX for e in entries.values() for FX in e.stratifications]
-    spaces += sigma_t2_carriers + cones_with_boundary(entries)
-    for FX in spaces:
-        FX = ensure_full(FX)
+    return [ensure_full(FX) for FX in spaces + sigma_t2_carriers + cones_with_boundary(entries)]
+
+
+def test_field_ranks_match_two_matrix_routine(entries, sigma_t2_carriers):
+    for FX in _ih_test_spaces(entries, sigma_t2_carriers):
         n = max(FX.dim, 2)
         for p in PERVERSITIES:
             for ring in (QQ, GF(2)):
-                got = _field_ranks(FX, p(n), ring)
+                got = [g.rank for g in intersection_homology(FX, p(n), ring)]
                 assert got == two_matrix_field_ranks(FX, p(n), ring), (p.__name__, ring)
+
+
+def test_integral_groups_match_kernel_basis_oracle(entries, sigma_t2_carriers):
+    torsion = 0
+    for FX in _ih_test_spaces(entries, sigma_t2_carriers):
+        n = max(FX.dim, 2)
+        for p in PERVERSITIES:
+            got = [(g.rank, g.torsion) for g in intersection_homology(FX, p(n), ZZ)]
+            assert got == integral_groups(FX, p(n)), p.__name__
+            torsion += any(t for _r, t in got)
+    assert torsion >= 16
