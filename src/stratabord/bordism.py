@@ -4,9 +4,12 @@ The central construction realizes the bordism from a stratified pseudomanifold
 X to its intrinsic stratification X* on the carrier |I × X|: the cylinder is
 stratified like the given filtration near one end, intrinsically near the
 other, with the middle level carrying the interface strata (the truncated
-half-intrinsic suspension).  On top of that sit half-intrinsic suspensions,
-cylinders with collared corners, gluing along boundary pieces, and
-restratification of a given bordism.
+half-intrinsic suspension).  It, the product cylinder I × X and that
+cylinder's side piece I × ∂X are one construction, `_product`: the staircase
+product with a path, each face filtered by a depth rule on its projections to
+X and to the levels, and the carrier oriented by pinning its two end levels.
+On top of that sit half-intrinsic suspensions, gluing along boundary pieces,
+and restratification of a given bordism.
 
 Certificates are proofs-carried-with-data: they store the filtered carrier,
 labeled boundary pieces with isomorphisms and signs, and collar data, and can
@@ -16,8 +19,10 @@ be re-verified from scratch.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Tuple
 
 from .complexes import (
     OrientationAssignment,
@@ -45,13 +50,14 @@ from .errors import (
     NotClosed,
     NotValidated,
     SignClash,
+    UnknownName,
 )
 from .iso import LabeledIsomorphism, isomorphic
 from .strat import (
     FilteredComplex,
     _Flag,
+    check_pseudomanifold,
     components,
-    extend_orientation_to_intrinsic,
     filtered_by_depth,
     germ_partition,
     intrinsic_stratification,
@@ -93,7 +99,7 @@ class BordismCertificate:
         for p in self.pieces:
             if p.label == label:
                 return p
-        raise KeyError(label)
+        raise UnknownName(f"certificate has no piece {label!r}")
 
 
 def reverse_certificate(cert: BordismCertificate) -> BordismCertificate:
@@ -181,33 +187,28 @@ def half_intrinsic_suspension(FX: FilteredComplex, closed: bool = True) -> Filte
     north, south = suspension_poles(K)
     SK = suspension(K, north, south)
     flag = _Flag()
-    gens: Dict[int, List[Simplex]] = {}
-
-    def add(d: int, s: Simplex):
-        gens.setdefault(d, []).append(s)
-
-    add(0, (north,))
+    gens: Dict[int, List[Simplex]] = defaultdict(list)
+    gens[0].append((north,))
     for S in strata(FX):
         if S.regular:
             continue
         for s in S.simplices:
-            add(S.dim, s)
-            add(S.dim + 1, tuple(sorted(s + (north,))))
+            gens[S.dim].append(s)
+            gens[S.dim + 1].append(tuple(sorted(s + (north,))))
     # South cone: germ classes of the simplices containing the south pole.
     for _inv, faces in germ_partition(SK, flag, keep=lambda f: south in f):
-        d = max(len(s) - 1 for s in faces)
-        for s in faces:
-            add(d, s)
+        gens[max(len(s) - 1 for s in faces)].extend(faces)
     return make_filtered(
         SK, gens, None, None, FX.classical, FX.heuristic or flag.heuristic
     )
 
 
 # ---------------------------------------------------------------------------
-# The X -> X* bordism on the carrier |I × X|
+# Products with a path: the X -> X* bordism, cylinders and their sides
 
 
 _PATH3 = build_complex([(0, 1), (1, 2)])  # levels: 0 = intrinsic end, 2 = X end
+_PATH2 = build_complex([(0, 1)])
 
 
 def _face_split(f: Simplex, inv: Dict[int, Tuple[int, int]]):
@@ -221,7 +222,8 @@ def _orient_pinned(
     skip: frozenset,
     pins: Dict[Simplex, int],
 ) -> OrientationAssignment:
-    """Coherent orientation whose induced boundary orientation matches pins.
+    """Coherent orientation, propagated across no ridge in skip, whose induced
+    boundary orientation matches pins.
 
     pins maps boundary ridges of Yc to required induced signs; each
     propagation component must contain at least one pinned ridge, and all pins
@@ -253,6 +255,63 @@ def _orient_pinned(
     )
 
 
+def _product(
+    K: SimplicialComplex,
+    path: SimplicialComplex,
+    depth: Callable[[Simplex, set], int],
+    side: Collection[Simplex],
+    orientation: Optional[OrientationAssignment],
+    classical: bool,
+    heuristic: bool,
+) -> Tuple[FilteredComplex, Dict[Tuple[int, int], int]]:
+    """The staircase product K × path with levels 0 … top, filtered by
+    depth(xs, ts) of each face's projections to K and to the levels.
+
+    The boundary is the two end levels and the faces over `side`.  With an
+    orientation, the carrier is oriented coherently off its singular ridges
+    so that the top level induces that orientation and level 0 its reverse.
+    Returns the filtration and the vertex map (x, level) -> vertex.
+    """
+    Yc, vmap = product_with_map(K, path)
+    inv = {i: p for p, i in vmap.items()}
+    top = max(path.vertices)
+    depths: Dict[Simplex, int] = {}
+    bgens = []
+    for f in Yc.faces:
+        xs, ts = _face_split(f, inv)
+        depths[f] = depth(xs, ts)
+        if ts == {0} or ts == {top} or xs in side:
+            bgens.append(f)
+    FY = filtered_by_depth(Yc, depths.__getitem__, bgens, None, classical, heuristic)
+    if orientation is not None:
+        sing = FY.skeleton(FY.dim - 1).faces
+        pins = {
+            tuple(sorted(vmap[(x, t)] for x in fx)): sign * s
+            for t, sign in ((top, +1), (0, -1))
+            for fx, s in orientation.signs.items()
+        }
+        FY = dataclasses.replace(FY, orientation=_orient_pinned(Yc, sing, pins))
+    return FY, vmap
+
+
+def _ends(K: SimplicialComplex, vmap, top: int, plus, minus):
+    """The (+) piece at the top level and the (−) piece at level 0, copies of
+    K carrying plus and minus, each with its product collar to the next level."""
+
+    def level(t: int) -> LabeledIsomorphism:
+        return LabeledIsomorphism({x: vmap[(x, t)] for x in K.vertices})
+
+    def collar(t: int, u: int) -> CollarCertificate:
+        pairs = sorted((vmap[(x, t)], vmap[(x, u)]) for x in K.vertices)
+        return CollarCertificate("product", tuple(pairs))
+
+    pieces = [
+        BoundaryPiece("plus", plus, level(top), +1),
+        BoundaryPiece("minus", minus, level(0), -1),
+    ]
+    return pieces, {"plus": collar(top, top - 1), "minus": collar(0, 1)}
+
+
 def bordism_to_intrinsic(
     FX: FilteredComplex, orientation: Optional[OrientationAssignment] = None
 ) -> BordismCertificate:
@@ -261,6 +320,8 @@ def bordism_to_intrinsic(
     The carrier is the staircase cylinder K × path; skeleta follow the given
     filtration on the FX half, the intrinsic one on the other half, with the
     interface strata on the middle level.  Boundary pieces are literal copies.
+    The orientation must be coherent off the singular ridges of X*, so that
+    it orients X* too.
     """
     K = FX.complex
     n = FX.dim
@@ -273,17 +334,15 @@ def bordism_to_intrinsic(
     oa = orientation if orientation is not None else FX.orientation
     if oa is None:
         raise IncompatibleOrientations("bordism source carries no orientation")
-    FXo = dataclasses.replace(FX, orientation=oa)
-    ostar = extend_orientation_to_intrinsic(FXo)
-    FXstar = dataclasses.replace(
-        intrinsic_stratification(K), orientation=ostar
-    )
-    Yc, vmap = product_with_map(K, _PATH3)
-    inv = {i: p for p, i in vmap.items()}
+    FXstar = intrinsic_stratification(K)
+    if not verify_orientation(K, oa, skip_ridges=FXstar.skeleton(n - 1).faces):
+        raise NotClassical(
+            "orientation does not extend over the intrinsic regular part"
+        )
+    FXstar = dataclasses.replace(FXstar, orientation=oa)
     N = n + 1
 
-    def depth(f: Simplex) -> int:
-        xs, ts = _face_split(f, inv)
+    def depth(xs: Simplex, ts: set) -> int:
         d, dstar = FX.depth[xs], FXstar.depth[xs]
         return min(
             d + 1 if ts <= {1, 2} else N,
@@ -291,45 +350,12 @@ def bordism_to_intrinsic(
             d if ts == {1} and d < n else N,
         )
 
-    bgens = [f for f in Yc.faces if _face_split(f, inv)[1] in ({0}, {2})]
-    FY = filtered_by_depth(
-        Yc, depth, bgens, None, FX.classical, FX.heuristic or FXstar.heuristic
+    FY, vmap = _product(
+        K, _PATH3, depth, (), oa, FX.classical, FX.heuristic or FXstar.heuristic
     )
-    # Orientation: pin the level-2 copy to +O_X.
-    sing = FY.skeleton(N - 1).faces
-    skip = frozenset(r for r in ridges_with_facets(Yc) if r in sing)
-    pins = {}
-    for fx, s in oa.signs.items():
-        pins[tuple(sorted(vmap[(x, 2)] for x in fx))] = s
-    oy = _orient_pinned(Yc, skip, pins)
-    FY = dataclasses.replace(FY, orientation=oy)
-    # The level-0 copy must then induce -O*.
-    bo = boundary_orientation(Yc, oy)
-    for fx, s in ostar.signs.items():
-        r = tuple(sorted(vmap[(x, 0)] for x in fx))
-        if bo.signs[r] != -s:
-            raise InternalInvariantBreach(
-                "intrinsic end does not induce the reversed orientation"
-            )
-    iso_plus = LabeledIsomorphism({x: vmap[(x, 2)] for x in K.vertices})
-    iso_minus = LabeledIsomorphism({x: vmap[(x, 0)] for x in K.vertices})
-    pieces = (
-        BoundaryPiece("plus", FXo, iso_plus, +1),
-        BoundaryPiece("minus", FXstar, iso_minus, -1),
-    )
-    collars = {
-        "plus": CollarCertificate(
-            "product", tuple(sorted((vmap[(x, 2)], vmap[(x, 1)]) for x in K.vertices))
-        ),
-        "minus": CollarCertificate(
-            "product", tuple(sorted((vmap[(x, 0)], vmap[(x, 1)]) for x in K.vertices))
-        ),
-    }
-    return BordismCertificate(FY, pieces, collars, "bordism_to_intrinsic")
-
-
-# ---------------------------------------------------------------------------
-# Cylinders
+    FXo = dataclasses.replace(FX, orientation=oa)
+    pieces, collars = _ends(K, vmap, 2, FXo, FXstar)
+    return BordismCertificate(FY, tuple(pieces), collars, "bordism_to_intrinsic")
 
 
 def cylinder(FX: FilteredComplex) -> BordismCertificate:
@@ -340,72 +366,28 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
     collar certified through the stored unfolding scheme.
     """
     K = FX.complex
-    n = FX.dim
     if K.is_empty():
         raise NotValidated("cylinder input must be non-empty")
     require_pure(FX)
-    D1 = build_complex([(0, 1)])
-    Yc, vmap = product_with_map(K, D1)
-    inv = {i: p for p, i in vmap.items()}
     B = FX.boundary if FX.boundary is not None else boundary_subcomplex(K)
-
-    bgens = []
-    for f in Yc.faces:
-        xs, ts = _face_split(f, inv)
-        if ts in ({0}, {1}) or xs in B.faces:
-            bgens.append(f)
-    FY = filtered_by_depth(
-        Yc,
-        lambda f: FX.depth[_face_split(f, inv)[0]] + 1,
-        bgens,
-        None,
+    FY, vmap = _product(
+        K,
+        _PATH2,
+        lambda xs, _ts: FX.depth[xs] + 1,
+        B.faces,
+        FX.orientation,
         FX.classical,
         FX.heuristic,
     )
-
-    oa = FX.orientation
-    oy = None
-    if oa is not None:
-        sing = FY.skeleton(n).faces
-        skip = frozenset(r for r in ridges_with_facets(Yc) if r in sing)
-        pins = {
-            tuple(sorted(vmap[(x, 1)] for x in fx)): s for fx, s in oa.signs.items()
-        }
-        oy = _orient_pinned(Yc, skip, pins)
-        FY = dataclasses.replace(FY, orientation=oy)
-
-    iso_plus = LabeledIsomorphism({x: vmap[(x, 1)] for x in K.vertices})
-    iso_minus = LabeledIsomorphism({x: vmap[(x, 0)] for x in K.vertices})
-    pieces = [
-        BoundaryPiece("plus", FX, iso_plus, +1),
-        BoundaryPiece("minus", FX, iso_minus, -1),
-    ]
-    collars = {
-        "plus": CollarCertificate(
-            "product", tuple(sorted((vmap[(x, 1)], vmap[(x, 0)]) for x in K.vertices))
-        ),
-        "minus": CollarCertificate(
-            "product", tuple(sorted((vmap[(x, 0)], vmap[(x, 1)]) for x in K.vertices))
-        ),
-    }
+    pieces, collars = _ends(K, vmap, 1, FX, FX)
     if not B.is_empty():
         # Side piece: the cylinder over the boundary, stratified by the
         # induced boundary filtration (depth one less than in X) shifted up
         # one through the product.
-        side_c, side_vmap = product_with_map(B, D1)
-        side_inv = {i: p for p, i in side_vmap.items()}
-        sbgens = [f for f in side_c.faces if _face_split(f, side_inv)[1] in ({0}, {1})]
-        side_space = filtered_by_depth(
-            side_c,
-            lambda f: FX.depth[_face_split(f, side_inv)[0]],
-            sbgens,
-            None,
-            FX.classical,
-            FX.heuristic,
+        side_space, side_vmap = _product(
+            B, _PATH2, lambda xs, _ts: FX.depth[xs], (), None, FX.classical, FX.heuristic
         )
-        side_iso = LabeledIsomorphism(
-            {side_vmap[(x, t)]: vmap[(x, t)] for x in B.vertices for t in (0, 1)}
-        )
+        side_iso = LabeledIsomorphism({v: vmap[p] for p, v in side_vmap.items()})
         pieces.append(BoundaryPiece("side", side_space, side_iso, +1))
         corner_pairs = tuple(
             sorted((vmap[(x, t)], vmap[(x, 1 - t)]) for x in B.vertices for t in (0, 1))
@@ -462,30 +444,21 @@ def glue(
             raise NoIsomorphism("no stratified isomorphism between the glued pieces")
     # Relabel Y2: seam vertices land on their Y1 partners, the rest move above
     # the Y1 vertex range.
-    seam2_to_1 = {}
-    for v, w in iso.vertex_map.items():
-        seam2_to_1[p2.iso.vertex_map[w]] = p1.iso.vertex_map[v]
-    offset = max(Y1.Y.complex.vertices) + 1
-    relabel = {}
-    fresh = 0
+    relabel = {p2.iso.vertex_map[w]: p1.iso.vertex_map[v] for v, w in iso.vertex_map.items()}
+    fresh = itertools.count(max(Y1.Y.complex.vertices) + 1)
     for u in Y2.Y.complex.vertices:
-        if u in seam2_to_1:
-            relabel[u] = seam2_to_1[u]
-        else:
-            relabel[u] = offset + fresh
-            fresh += 1
+        if u not in relabel:
+            relabel[u] = next(fresh)
 
     def map2(s: Simplex) -> Simplex:
         return tuple(sorted(relabel[v] for v in s))
 
     facets = list(Y1.Y.complex.facets) + [map2(f) for f in Y2.Y.complex.facets]
     Gc = build_complex(facets)
-    N = Gc.dim
-    gens: Dict[int, List[Simplex]] = {}
-    for j in range(N):
-        g = list(Y1.Y.skeleton(j).faces) + [map2(f) for f in Y2.Y.skeleton(j).faces]
-        if g:
-            gens[j] = g
+    gens = {
+        j: list(Y1.Y.skeleton(j).faces) + [map2(f) for f in Y2.Y.skeleton(j).faces]
+        for j in range(Gc.dim)
+    }
     seam_facets = {p1.iso.apply(f) for f in p1.space.complex.facets}
     b1 = Y1.Y.boundary.faces if Y1.Y.boundary is not None else frozenset()
     b2 = Y2.Y.boundary.faces if Y2.Y.boundary is not None else frozenset()
@@ -517,37 +490,28 @@ def glue(
         Y1.Y.classical and Y2.Y.classical,
         Y1.Y.heuristic or Y2.Y.heuristic,
     )
+    # The surviving pieces and collars: Y1's as stored, Y2's relabelled.
     pieces = []
     collars = {}
     used = set()
-    for p in Y1.pieces:
-        if p.label == l1:
-            continue
-        label = p.label
-        while label in used:
-            label += "'"
-        used.add(label)
-        pieces.append(dataclasses.replace(p, label=label))
-        col = Y1.collars.get(p.label)
-        if col is not None:
-            collars[label] = col
-    for p in Y2.pieces:
-        if p.label == l2:
-            continue
-        label = p.label
-        while label in used:
-            label += "'"
-        used.add(label)
-        new_iso = LabeledIsomorphism(
-            {v: relabel[w] for v, w in p.iso.vertex_map.items()}
-        )
-        pieces.append(BoundaryPiece(label, p.space, new_iso, p.sign))
-        col = Y2.collars.get(p.label)
-        if col is not None:
-            collars[label] = CollarCertificate(
-                col.kind,
-                tuple(sorted((relabel[a], relabel[b]) for a, b in col.data)),
-            )
+    for Y, glued, rl in ((Y1, l1, None), (Y2, l2, relabel)):
+        for p in Y.pieces:
+            if p.label == glued:
+                continue
+            label = p.label
+            while label in used:
+                label += "'"
+            used.add(label)
+            col = Y.collars.get(p.label)
+            if rl is not None:
+                iso2 = LabeledIsomorphism({v: rl[w] for v, w in p.iso.vertex_map.items()})
+                p = dataclasses.replace(p, iso=iso2)
+                if col is not None:
+                    pairs = sorted((rl[a], rl[b]) for a, b in col.data)
+                    col = CollarCertificate(col.kind, tuple(pairs))
+            pieces.append(dataclasses.replace(p, label=label))
+            if col is not None:
+                collars[label] = col
     return BordismCertificate(
         FY, tuple(pieces), collars, f"glue({Y1.provenance},{Y2.provenance})"
     )
@@ -577,16 +541,15 @@ def bordism_between_stratifications(
         raise DifferentCarrier("stratifications live on different carriers")
     if FX.orientation is None or FX2.orientation is None:
         raise IncompatibleOrientations("both inputs must be oriented")
-    o1 = extend_orientation_to_intrinsic(FX)
-    o2 = extend_orientation_to_intrinsic(FX2)
-    if o1.signs != o2.signs:
+    check_pseudomanifold(FX.complex)  # names the free ridge of a carrier with boundary
+    Y1 = bordism_to_intrinsic(FX)
+    Y2 = bordism_to_intrinsic(FX2)
+    # Each orientation also orients X*; the two must agree there.
+    if FX.orientation.signs != FX2.orientation.signs:
         raise IncompatibleOrientations(
             "orientations do not agree through the intrinsic stratification"
         )
-    Y1 = bordism_to_intrinsic(FX)
-    Y2 = reverse_certificate(bordism_to_intrinsic(FX2))
-    ident = LabeledIsomorphism({v: v for v in FX.complex.vertices})
-    out = glue(Y1, Y2, ("minus", "minus"), ident)
+    out = glue(Y1, reverse_certificate(Y2), ("minus", "minus"))
     return _plus_minus(out, "bordism_between_stratifications")
 
 

@@ -183,9 +183,10 @@ def _s_duality_predicate(K: SimplicialComplex) -> ClassVerdict:
         k = (d + 1) // 2
         degrees = [k, k - 1]
     heur = flag.heuristic
-    for deg in degrees:
+    if degrees:
         groups, h = _middle_ih(K, F2)
         heur = heur or h
+    for deg in degrees:
         if groups[deg].rank != 0:
             return _no(
                 {"degree": deg, "rank": groups[deg].rank, "ring": "F2"},

@@ -12,8 +12,9 @@ a list, a skeleton at an index ≥ the dimension that is not the whole carrier,
 a `classical` or `heuristic` that is not a boolean and a certificate field of
 the wrong type raise MalformedFiltration.
 A skeleton or boundary simplex outside the carrier raises SimplexNotFound.
-A piece's `iso` must map each vertex of its space exactly once, and a collar's
-`kind` is "product" or "corner".
+A piece's `iso` must map each vertex of its space exactly once into the
+carrier's vertices, a collar's `kind` is "product" or "corner", and its data
+pairs carrier vertices.
 """
 
 from __future__ import annotations
@@ -201,6 +202,11 @@ def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
         data = _int_pairs(_field(c, "data"), "collar data")
         collars[label] = CollarCertificate(kind, data)
     carrier = filtration_from_json(_field(doc, "carrier"))
+    vertices = set(carrier.complex.vertices)
+    if any(not vertices.issuperset(p.iso.vertex_map.values()) for p in pieces):
+        raise MalformedFiltration("a piece's iso maps a vertex off the carrier")
+    if any(not vertices.issuperset(pair) for c in collars.values() for pair in c.data):
+        raise MalformedFiltration("a collar pairs a vertex off the carrier")
     return BordismCertificate(
         carrier, tuple(pieces), collars, _field(doc, "provenance", str)
     )

@@ -1,8 +1,7 @@
 """Filtered complexes as stratified pseudomanifolds.
 
 Validation against the stratified pseudomanifold axioms, stratum enumeration,
-links of strata, polyhedral-link desuspension, intrinsic stratification, and
-orientation extension.
+links of strata, polyhedral-link desuspension and intrinsic stratification.
 
 Sphere recognition is exact through dimension 2 (curves and closed surfaces
 are classified combinatorially); above that links are checked at the level of
@@ -32,12 +31,10 @@ from .complexes import (
     link,
     ridges_with_facets,
     suspension,
-    verify_orientation,
 )
 from .errors import (
     DifferentCarrier,
     MalformedFiltration,
-    NotClassical,
     NotPseudomanifold,
     NoTopSimplex,
     NotValidated,
@@ -599,28 +596,6 @@ def polyhedral_link_decomposition(FX: FilteredComplex, x: int) -> LinkDecomposit
 
     recon = isomorphic(model, Lk) is not None
     return LinkDecomposition(j, core, recon, FXstar.heuristic)
-
-
-# ---------------------------------------------------------------------------
-# Orientation extension
-
-
-def extend_orientation_to_intrinsic(FX: FilteredComplex) -> OrientationAssignment:
-    """The unique orientation of the intrinsic regular part restricting to 𝒪."""
-    if not FX.classical:
-        raise NotClassical("orientation extension requires a classical stratification")
-    if FX.orientation is None:
-        raise NotClassical("input carries no orientation")
-    FXstar = intrinsic_stratification(FX.complex)
-    n = FX.dim
-    sing = FXstar.skeleton(n - 1)
-    skip = frozenset(f for f in sing.faces if len(f) == n)
-    oa = FX.orientation
-    if not verify_orientation(FX.complex, oa, skip_ridges=skip):
-        raise NotClassical(
-            "orientation does not extend over the intrinsic regular part"
-        )
-    return oa
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import dataclasses
 import pytest
 
 from conftest import cones_with_boundary, flip_interior_sign
-from stratabord import catalog
+from stratabord import bordism, catalog, strat
 from stratabord.algebra import ZZ, homology
 from stratabord.bordism import (
     _PATH3,
@@ -26,6 +26,7 @@ from stratabord.bordism import (
     verify_corner_unfolding,
 )
 from stratabord.complexes import (
+    OrientationAssignment,
     boundary_subcomplex,
     build_complex,
     product_with_map,
@@ -34,6 +35,7 @@ from stratabord.complexes import (
 from stratabord.iso import LabeledIsomorphism
 from stratabord.errors import (
     DifferentCarrier,
+    NotClassical,
     NotClosed,
     SignClash,
 )
@@ -155,6 +157,34 @@ def test_bordism_between_requires_same_carrier(entries):
         bordism_between_stratifications(
             entries["S2"].stratifications[0], entries["T2"].stratifications[0]
         )
+
+
+def test_bordism_to_intrinsic_rejects_an_incoherent_or_non_classical_source(entries):
+    FX = entries["Sigma-T2"].stratifications[1]
+    signs = dict(FX.orientation.signs)
+    facet = min(signs)
+    signs[facet] = -signs[facet]
+    with pytest.raises(NotClassical, match="does not extend"):
+        bordism_to_intrinsic(FX, OrientationAssignment(signs))
+    with pytest.raises(NotClassical, match="needs a classical input"):
+        bordism_to_intrinsic(dataclasses.replace(FX, classical=False))
+
+
+def test_intrinsic_stratification_is_computed_once_per_bordism_source(entries, monkeypatch):
+    calls = []
+    original = strat.intrinsic_stratification
+
+    def counting(K):
+        calls.append(K)
+        return original(K)
+
+    for module in (strat, bordism):
+        monkeypatch.setattr(module, "intrinsic_stratification", counting)
+    e = entries["Sigma-T2"]
+    bordism_to_intrinsic(e.stratifications[0])
+    assert len(calls) == 1
+    bordism_between_stratifications(e.stratifications[0], e.stratifications[1])
+    assert len(calls) == 3
 
 
 def test_restratify_bordism(entries):

@@ -4,7 +4,7 @@ and the algebraic laws relating them.
 
 import pytest
 
-from stratabord import catalog
+from stratabord import catalog, ih
 from stratabord.algebra import GF, QQ, ZZ
 from stratabord.classes import (
     BUILTIN_NAMES,
@@ -200,3 +200,17 @@ def test_classes_that_share_a_name_keep_their_own_verdicts():
     no = SingularityClass("x", "E", lambda K: ClassVerdict(False))
     assert yes.member(S1).verdict is True
     assert no.member(S1).verdict is False
+
+
+def test_s_duality_computes_middle_ih_once(monkeypatch):
+    """An odd-dimensional member is tested in two degrees of one IH table."""
+    calls = []
+    original = ih.intersection_homology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ih, "intersection_homology", counting)
+    assert builtin("s_duality").member(catalog.get("S3").complex).verdict
+    assert len(calls) == 1

@@ -259,6 +259,8 @@ WRONG_TYPES = {
     "top_skeleton_not_the_carrier": lambda d: d["carrier"]["skeleta"].append(
         d["carrier"]["skeleta"][0]
     ),
+    "collar_vertex_off_carrier": lambda d: d["collars"]["plus"]["data"][0].__setitem__(0, 999),
+    "iso_image_off_carrier": lambda d: d["pieces"][0]["iso"][0].__setitem__(1, 999),
 }
 
 
@@ -328,6 +330,28 @@ def test_reports_are_deterministic_and_jobs_independent(capsys):
 def test_bad_subcommand_usage():
     assert run(["frobnicate"]) == 2
     assert run(["glue", "a.json", "b.json", "--along", "onlyone"]) == 2
+
+
+@pytest.mark.parametrize("along", ["plus,nosuch", "plus,side"])
+def test_glue_along_a_missing_piece_is_usage_error(along, tmp_path, capsys):
+    path = str(tmp_path / "c.json")
+    assert run(["bordism", "cylinder", "catalog:S2", "--out", path]) == 0
+    assert_usage_error(["glue", path, path, "--along", along], capsys)
+    capsys.readouterr()
+    run(["glue", path, path, "--along", along])
+    missing = along.split(",")[1]
+    assert capsys.readouterr().err == f"error: certificate has no piece {missing!r}\n"
+
+
+def test_bordism_between_non_classical_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "s2.json"
+    assert run(["catalog", "emit", "S2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["classical"] = False
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["bordism", "between", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == "error: bordism construction needs a classical input\n"
 
 
 @pytest.fixture()
