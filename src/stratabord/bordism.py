@@ -358,6 +358,12 @@ def bordism_to_intrinsic(
     return BordismCertificate(FY, tuple(pieces), collars, "bordism_to_intrinsic")
 
 
+def designated_boundary(FX: FilteredComplex) -> SimplicialComplex:
+    """The boundary of FX, or the subcomplex of its free ridges when FX
+    designates none: the boundary a cylinder or a certificate is built on."""
+    return FX.boundary if FX.boundary is not None else boundary_subcomplex(FX.complex)
+
+
 def cylinder(FX: FilteredComplex) -> BordismCertificate:
     """The product bordism I × FX with the product stratification.
 
@@ -369,7 +375,7 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
     if K.is_empty():
         raise NotValidated("cylinder input must be non-empty")
     require_pure(FX)
-    B = FX.boundary if FX.boundary is not None else boundary_subcomplex(K)
+    B = designated_boundary(FX)
     FY, vmap = _product(
         K,
         _PATH2,
@@ -609,7 +615,7 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
     rep = validate_stratified_pseudomanifold(cert.Y, "with-boundary")
     checks["carrier_validates"] = rep.passed
     Yc = cert.Y.complex
-    B = cert.Y.boundary if cert.Y.boundary is not None else boundary_subcomplex(Yc)
+    B = designated_boundary(cert.Y)
     images = []
     for p in cert.pieces:
         images.append({p.iso.apply(f) for f in p.space.complex.facets})

@@ -27,6 +27,7 @@ from .errors import (
 from .strat import (
     FilteredComplex,
     _Flag,
+    _memo_on_shape,
     check_pseudomanifold,
     germ_partition,
     intrinsic_stratification,
@@ -92,10 +93,13 @@ class SingularityClass:
 # Built-in link conditions
 
 
-def _middle_ih(K: SimplicialComplex, ring: Ring):
+@_memo_on_shape
+def _middle_ih(K: SimplicialComplex, flag: _Flag, ring: Ring):
+    """Lower-middle IH of K's intrinsic stratification over ring, as a tuple;
+    the flag is that stratification's."""
     FX = intrinsic_stratification(K)
-    p = ih.lower_middle(max(K.dim, 2))
-    return ih.intersection_homology(FX, p, ring), FX.heuristic
+    flag.heuristic = FX.heuristic
+    return tuple(ih.intersection_homology(FX, ih.lower_middle(max(K.dim, 2)), ring))
 
 
 def _witt_predicate(ring: Ring):
@@ -103,7 +107,9 @@ def _witt_predicate(ring: Ring):
         d = K.dim
         if d % 2 == 1:
             return _yes("odd dimension; condition vacuous")
-        groups, heur = _middle_ih(K, ring)
+        flag = _Flag()
+        groups = _middle_ih(K, flag, ring)
+        heur = flag.heuristic
         g = groups[d // 2]
         if g.rank == 0 and not g.torsion:
             return _yes(f"I^mH_{d//2} = 0 over {ring}", heur)
@@ -120,8 +126,10 @@ def _ip_predicate(K: SimplicialComplex) -> ClassVerdict:
     d = K.dim
     if d <= 1:
         return _yes("dimension at most 1")
+    flag = _Flag()
+    groups = _middle_ih(K, flag, ZZ)
+    heur = flag.heuristic
     if d % 2 == 0:
-        groups, heur = _middle_ih(K, ZZ)
         g = groups[d // 2]
         if g.rank == 0 and not g.torsion:
             return _yes(f"I^mH_{d//2}(Z) = 0", heur)
@@ -131,7 +139,6 @@ def _ip_predicate(K: SimplicialComplex) -> ClassVerdict:
             heur,
         )
     deg = (d - 1) // 2
-    groups, heur = _middle_ih(K, ZZ)
     tors = groups[deg].torsion
     if not tors:
         return _yes(f"I^mH_{deg}(Z) torsion-free", heur)
@@ -182,10 +189,9 @@ def _s_duality_predicate(K: SimplicialComplex) -> ClassVerdict:
     elif d % 2 == 1 and d >= 3:
         k = (d + 1) // 2
         degrees = [k, k - 1]
-    heur = flag.heuristic
     if degrees:
-        groups, h = _middle_ih(K, F2)
-        heur = heur or h
+        groups = _middle_ih(K, flag, F2)
+    heur = flag.heuristic
     for deg in degrees:
         if groups[deg].rank != 0:
             return _no(

@@ -10,6 +10,7 @@ results are independent of it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from typing import Any, Dict, Tuple
@@ -338,9 +339,9 @@ def _cert_report(cert, args, command: str) -> Tuple[Dict[str, Any], list]:
     return report, lines
 
 
-def _require_closed(FX: FilteredComplex, ref: str) -> None:
-    """A bordism source that is no closed stratified pseudomanifold is bad input."""
-    rep = validate_stratified_pseudomanifold(FX, "closed")
+def _require_valid(FX: FilteredComplex, ref: str, mode: str = "closed") -> None:
+    """A bordism source that fails validation in `mode` is bad input."""
+    rep = validate_stratified_pseudomanifold(FX, mode)
     if not rep.passed:
         raise NotValidated(f"{ref} fails clauses {rep.failing()}")
 
@@ -364,16 +365,22 @@ def _cmd_bordism(args) -> int:
         return 0 if rep.passed else 1
     FX, _d = _load_space(args.space)
     if args.mode == "to-intrinsic":
-        _require_closed(FX, args.space)
+        _require_valid(FX, args.space)
         cert = bordism.bordism_to_intrinsic(FX)
     elif args.mode == "cylinder":
+        # Validated on the boundary the cylinder is built on.  An empty one
+        # is left undesignated, as clause (g) wants a boundary of dimension n − 1.
+        require_pure(FX)
+        B = bordism.designated_boundary(FX)
+        FXB = dataclasses.replace(FX, boundary=B if B.facets else None)
+        _require_valid(FXB, args.space, "with-boundary")
         cert = bordism.cylinder(FX)
     elif args.mode == "between":
         if not args.other:
             raise StrataError("bordism between needs a second space")
         FX2, _d2 = _load_space(args.other)
-        _require_closed(FX, args.space)
-        _require_closed(FX2, args.other)
+        _require_valid(FX, args.space)
+        _require_valid(FX2, args.other)
         cert = bordism.bordism_between_stratifications(FX, FX2)
     else:
         raise StrataError(f"unknown bordism mode {args.mode!r}")

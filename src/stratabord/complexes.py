@@ -353,9 +353,14 @@ def collapses_to_point(K: SimplicialComplex, drop: Optional[Simplex] = None) -> 
 
 
 def ridges_with_facets(K: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:
-    """Map each (n−1)-face to the sorted list of facets containing it."""
+    """Map each (n−1)-face to the sorted list of facets containing it.
+
+    A complex of dimension 0 has no ridges: the empty simplex is no face.
+    """
     out: Dict[Simplex, List[Simplex]] = {}
     for f in sorted(K.facets):
+        if len(f) < 2:
+            continue
         for i in range(len(f)):
             r = f[:i] + f[i + 1 :]
             out.setdefault(r, []).append(f)

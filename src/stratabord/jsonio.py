@@ -5,12 +5,12 @@ integers; simplices serialize as sorted integer lists, complexes as facet
 lists, filtrations as facet lists per skeleton.  `dumps` is canonical
 (sorted keys, fixed separators), so equal values serialize byte-identically.
 Reading is strict: invalid JSON, a top level that is not an object, a missing
-field, a vertex that is not an integer, a simplex that repeats a vertex, an
-orientation sign other than ±1, an orientation that misses a facet, signs a
-simplex that is not a facet or signs a simplex twice, a `skeleta` that is not
-a list, a skeleton at an index ≥ the dimension that is not the whole carrier,
-a `classical` or `heuristic` that is not a boolean and a certificate field of
-the wrong type raise MalformedFiltration.
+field, a vertex that is not an integer, the empty simplex, a simplex that
+repeats a vertex, an orientation sign other than ±1, an orientation that misses
+a facet, signs a simplex that is not a facet or signs a simplex twice, a
+`skeleta` that is not a list, a skeleton at an index ≥ the dimension that is
+not the whole carrier, a `classical` or `heuristic` that is not a boolean and
+a certificate field of the wrong type raise MalformedFiltration.
 A skeleton or boundary simplex outside the carrier raises SimplexNotFound.
 A piece's `iso` must map each vertex of its space exactly once into the
 carrier's vertices, a collar's `kind` is "product" or "corner", and its data
@@ -65,6 +65,8 @@ def _simplex_from_json(f: Any) -> Tuple[int, ...]:
         raise MalformedFiltration(f"a simplex must be a list of integers, not {f!r}")
     if len(set(f)) != len(f):
         raise MalformedFiltration(f"simplex {f} repeats a vertex")
+    if not f:
+        raise MalformedFiltration("the empty simplex is not a face")
     return tuple(f)
 
 

@@ -9,8 +9,17 @@ integral homology and results carry a `heuristic` flag.  Sphere and ball
 recognition first try an exact greedy collapse (`collapses_to_point`), which
 settles most links without homology; homology is the fallback when the
 collapse gets stuck.  The verdict and the flag are the same on both routes.
-Recognition is memoized per shape (the facets renumbered in vertex order), which
-is exact: every answer and flag is an isomorphism invariant naming no vertex.
+Recognition, and the middle intersection homology behind the Witt, IP and
+S-duality classes (`classes._middle_ih`, keyed also on the ring), are memoized
+per shape (the facets renumbered in vertex order), which is exact: every answer
+and flag is an isomorphism invariant naming no vertex.
+
+Strata come from the minimal open faces.  Call a face of X^j − X^{j−1} open;
+it is minimal when its codimension-one faces all lie in X^{j−1}.  A face of X^j
+that contains an open face is open, so a chain of faces between two open faces
+stays open.  Hence every open face joins the stratum of each minimal open face
+inside it, and two minimal open faces lie in one stratum exactly when a chain
+of them, each consecutive pair in a common facet of X^j, connects them.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .complexes import (
     join,
     link,
     ridges_with_facets,
+    star,
     suspension,
 )
 from .errors import (
@@ -85,14 +95,44 @@ class FilteredComplex:
     def strata(self) -> Tuple["Stratum", ...]:
         """Connected components of X^j − X^{j−1} as sets of open simplices.
 
-        A malformed filtration raises on every access: an exception is not cached.
+        They are found from the minimal open faces (see the module docstring):
+        each open face is filed under one minimal open face inside it, an open
+        vertex when it has one, and each minimal open face is joined to every
+        facet of X^j through it.  A malformed filtration raises on every
+        access: an exception is not cached.
         """
         _check_skeleta(self)
-        out: List[Stratum] = []
-        for j in range(self.dim + 1):
-            opens = self.skeleton(j).faces - self.skeleton(j - 1).faces
-            for comp in components(opens, _face_edges(opens)):
-                out.append(Stratum(j, frozenset(comp), j == self.dim))
+        depth = self.depth
+        vdepth = {v: depth[(v,)] for v in self.complex.vertices}
+        anchor: Dict[Simplex, Simplex] = {}
+        for s, d in depth.items():
+            for v in s:
+                if vdepth[v] == d:
+                    anchor[s] = (v,)
+                    break
+            else:
+                # No vertex of s is open, so no face met on the way down is
+                # a vertex: step to an open codimension-one face while one exists.
+                m, down = s, True
+                while down:
+                    down = False
+                    for i in range(len(m)):
+                        f = m[:i] + m[i + 1 :]
+                        if depth[f] == d:
+                            m, down = f, True
+                            break
+                anchor[s] = m
+        minimal = set(anchor.values())
+        edges = ((m, anchor[F]) for m in minimal for F in star(self.skeleton(depth[m]), m).facets)
+        parts = components(minimal, edges)
+        part_of = {m: i for i, part in enumerate(parts) for m in part}
+        members: List[List[Simplex]] = [[] for _ in parts]
+        for s, m in anchor.items():
+            members[part_of[m]].append(s)
+        out = [
+            Stratum(depth[part[0]], frozenset(fs), depth[part[0]] == self.dim)
+            for part, fs in zip(parts, members)
+        ]
         return tuple(sorted(out, key=lambda s: (s.dim, min(s.simplices))))
 
     def same_filtration(self, other: "FilteredComplex") -> bool:
@@ -281,24 +321,28 @@ def _shape(K: SimplicialComplex) -> FrozenSet[Simplex]:
 
 
 def _memo_on_shape(raw):
-    """Memoize raw(K, flag) on `_shape(K)`; a hit sets the flag as raw did.
+    """Memoize raw(K, flag, *args) on `_shape(K)` and the hashable extra
+    arguments; a hit sets the flag as raw did.
 
     Precondition, which makes the key exact.  The renumbering keeps the vertex
     order, so sorts, min(K.facets), the collapse queue and the homology
     fallback run step for step alike on complexes with one key.  raw's answer
     and flag are isomorphism invariants (a collapse implies that the homology
     test passes, and the flag is set before the collapse).  The answer names
-    no vertex: it is a bool or a label-free tuple.
+    no vertex: it is a bool or a label-free tuple.  Middle IH keeps the
+    precondition too: the intrinsic stratification is determined by K and
+    found by the memoized recognisers, `ensure_full` stars simplices in
+    lexicographic order, and the groups and the flag name no vertex.
     """
-    memo: Dict[FrozenSet[Simplex], Tuple[object, bool]] = {}
+    memo: Dict[tuple, Tuple[object, bool]] = {}
 
     @functools.wraps(raw)
-    def cached(K: SimplicialComplex, flag: Optional[_Flag] = None):
-        key = _shape(K)
+    def cached(K: SimplicialComplex, flag: Optional[_Flag] = None, *args):
+        key = (_shape(K), *args)
         hit = memo.get(key)
         if hit is None:
             local = _Flag()
-            hit = memo[key] = (raw(K, local), local.heuristic)
+            hit = memo[key] = (raw(K, local, *args), local.heuristic)
         if hit[1] and flag is not None:
             flag.heuristic = True
         return hit[0]
@@ -627,6 +671,46 @@ class ValidationReport:
         return [c.clause for c in self.clauses if not c.passed]
 
 
+def _check_stratum_links(
+    FX: FilteredComplex, all_strata: List[Stratum], boundary: SimplicialComplex, flag: _Flag
+) -> Tuple[bool, str, Dict[Simplex, bool]]:
+    """Clause (e) once the ridge degrees have passed: in X^j, the link of each
+    face of a j-stratum is a sphere of the right dimension, or a cone on the
+    boundary.  Returns (passed, detail, collar), where collar holds the
+    verdicts on boundary-face links taken in the carrier, for clause (g).
+
+    Lemma: faces of dimension n and n − 1 of the regular stratum need no link.
+    The carrier is pure (clause (b)), so the link of a facet is empty.  A
+    ridge lies in two facets, or in one exactly when it is on the boundary
+    (the ridge degrees), so its link is two points, a 0-sphere, or one point,
+    a cone.  Those verdicts are true and set no flag.
+    """
+    K, n = FX.complex, FX.dim
+    # The lemma's cones: the boundary ridges of the regular strata.
+    regular_rim = (r for r in boundary.faces_of_dim(n - 1) if FX.depth.get(r) == n)
+    collar = dict.fromkeys(regular_rim, True)
+    for S in all_strata:
+        # Every coface of s in X^j lies in the open stratum S, so the
+        # link in the skeleton is the link inside the stratum.
+        Xj = FX.skeleton(S.dim)
+        in_carrier = Xj == K
+        faces = [s for s in S.simplices if len(s) < n] if S.regular else S.simplices
+        for s in sorted(faces):
+            L = link(Xj, s)
+            want = S.dim - (len(s) - 1) - 1
+            if want < 0:
+                ok = L.is_empty()
+            elif s in boundary.faces:
+                ok = ball_like(L, flag)
+                if in_carrier:
+                    collar[s] = ok
+            else:
+                ok = sphere_like(L, flag) and L.dim == want
+            if not ok:
+                return False, f"stratum link of {s} is not a {want}-sphere", collar
+    return True, "", collar
+
+
 def validate_stratified_pseudomanifold(
     FX: FilteredComplex, mode: str = "closed", _depth: int = 0
 ) -> ValidationReport:
@@ -703,33 +787,9 @@ def validate_stratified_pseudomanifold(
 
     # (e) stratum manifoldness via link checks
     all_strata = strata(FX)
-    ok_e, det_e = ok_ridge, det_ridge
-    # Verdicts on boundary-face links taken in the carrier, for clause (g).
-    collar: Dict[Simplex, bool] = {}
+    ok_e, det_e, collar = ok_ridge, det_ridge, {}
     if ok_e:
-        for S in all_strata:
-            # Every coface of s in X^j lies in the open stratum S, so the
-            # link in the skeleton is the link inside the stratum.
-            Xj = FX.skeleton(S.dim)
-            in_carrier = Xj == K
-            for s in sorted(S.simplices):
-                L = link(Xj, s)
-                want = S.dim - (len(s) - 1) - 1
-                on_boundary = s in boundary.faces
-                if want < 0:
-                    ok = L.is_empty()
-                elif on_boundary:
-                    ok = ball_like(L, flag)
-                    if in_carrier:
-                        collar[s] = ok
-                else:
-                    ok = sphere_like(L, flag) and L.dim == want
-                if not ok:
-                    ok_e = False
-                    det_e = f"stratum link of {s} is not a {want}-sphere"
-                    break
-            if not ok_e:
-                break
+        ok_e, det_e, collar = _check_stratum_links(FX, all_strata, boundary, flag)
     clauses.append(ClauseResult("e", ok_e, det_e))
 
     # (f) recursive link condition on singular strata
@@ -774,9 +834,13 @@ def validate_stratified_pseudomanifold(
         else:
             B = FX.boundary
             # Induced filtration B^i = X^{i+1} ∩ B must make B a closed
-            # stratified pseudomanifold of dimension n−1.
+            # stratified pseudomanifold of dimension n−1.  A collared stratum
+            # meets B in a stratum one dimension lower, so B^{−1} = X⁰ ∩ B is empty.
+            on_x0 = [f for f in B.faces if FX.depth[f] == 0]
             if B.dim != n - 1:
                 ok_g, det_g = False, f"boundary has dimension {B.dim}"
+            elif on_x0:
+                ok_g, det_g = False, f"boundary face {min(on_x0)} lies in X^0"
             else:
                 BF = filtered_by_depth(
                     B, lambda f: FX.depth[f] - 1, classical=FX.classical

@@ -28,6 +28,33 @@ def sigma_t2_carriers(entries):
     return [bordism_to_intrinsic(FX).Y for FX in entries["Sigma-T2"].stratifications]
 
 
+@pytest.fixture(scope="session")
+def sigma_t3_carrier(entries):
+    """The carrier of the bordism from the first Σ T³ stratification to Σ T³*."""
+    return bordism_to_intrinsic(entries["Sigma-T3"].stratifications[0]).Y
+
+
+def record_raw_calls(monkeypatch, memoized):
+    """A list to which each call of a `strat._memo_on_shape` routine past its
+    memo appends its arguments after the flag, K first."""
+    raw = memoized.__wrapped__
+    cell = next(c for c in memoized.__closure__ if c.cell_contents is raw)
+    calls = []
+
+    def recording(K, flag, *args):
+        calls.append((K, *args))
+        return raw(K, flag, *args)
+
+    monkeypatch.setattr(cell, "cell_contents", recording)
+    return calls
+
+
+def empty_memo(monkeypatch, memoized):
+    """Start a `strat._memo_on_shape` routine from an empty memo."""
+    cell = next(c for c in memoized.__closure__ if isinstance(c.cell_contents, dict))
+    monkeypatch.setattr(cell, "cell_contents", {})
+
+
 def cones_with_boundary(entries, names=("S1", "S2", "T2", "Sigma-S1")):
     """The oriented cone cX on each stratification of the named entries, with
     (cX)^{j+1} the cone on X^j, the apex a 0-stratum and X the boundary."""

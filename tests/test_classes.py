@@ -2,8 +2,11 @@
 and the algebraic laws relating them.
 """
 
+import itertools
+
 import pytest
 
+from conftest import empty_memo, record_raw_calls
 from stratabord import catalog, ih
 from stratabord.algebra import GF, QQ, ZZ
 from stratabord.classes import (
@@ -15,6 +18,7 @@ from stratabord.classes import (
     f_membership,
     g_of_e,
     g_of_e_membership,
+    _middle_ih,
     links_in_class,
     siegel,
     siegel_membership,
@@ -23,9 +27,11 @@ from stratabord.complexes import build_complex, suspension
 from stratabord.errors import (
     InternalInvariantBreach,
     KindMismatch,
+    StrataError,
     UnknownName,
     UnsupportedCoefficients,
 )
+from stratabord.strat import _Flag, strata, stratum_link
 
 S1 = build_complex([(0, 1), (1, 2), (0, 2)])
 
@@ -211,6 +217,47 @@ def test_s_duality_computes_middle_ih_once(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
+    empty_memo(monkeypatch, _middle_ih)
     monkeypatch.setattr(ih, "intersection_homology", counting)
     assert builtin("s_duality").member(catalog.get("S3").complex).verdict
     assert len(calls) == 1
+
+
+def _middle_ih_or_error(compute, K, ring):
+    flag = _Flag()
+    try:
+        return compute(K, flag, ring), flag.heuristic
+    except StrataError as exc:
+        return type(exc), str(exc)
+
+
+def test_memoized_middle_ih_matches_the_raw_routine(
+    entries, sigma_t2_carriers, sigma_t3_carrier
+):
+    spaces = [FX for entry in entries.values() for FX in entry.stratifications]
+    links = {}
+    for FX in spaces + sigma_t2_carriers + [sigma_t3_carrier]:
+        for S in strata(FX):
+            if not S.regular:
+                L = stratum_link(FX, S).complex
+                links.setdefault(L.facets, L)
+    assert any(L.dim >= 3 for L in links.values())
+    for L in links.values():
+        for ring in (ZZ, QQ, GF(2)):
+            raw = _middle_ih_or_error(_middle_ih.__wrapped__, L, ring)
+            assert _middle_ih_or_error(_middle_ih, L, ring) == raw, sorted(L.facets)
+
+
+def test_a_monotone_relabelling_makes_no_raw_ih_call(monkeypatch):
+    # The vertex links of the 4-sphere are 3-spheres, recognised with the flag.
+    S4 = build_complex(itertools.combinations(range(6), 5))
+    empty_memo(monkeypatch, _middle_ih)
+    first = _Flag()
+    answer = _middle_ih(S4, first, QQ)
+    assert first.heuristic
+    calls = record_raw_calls(monkeypatch, _middle_ih)
+    again = _Flag()
+    moved = S4.relabel({v: 3 * v + 1000 for v in S4.vertices})
+    assert _middle_ih(moved, again, QQ) == answer
+    assert again.heuristic and calls == []
+    assert _middle_ih(moved, _Flag(), ZZ) and calls == [(moved, ZZ)]

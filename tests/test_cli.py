@@ -168,6 +168,7 @@ MALFORMED = {
     },
     "bool_vertex": {"type": "complex", "facets": [[False, 1, 2], [0, 1, 3]]},
     "repeated_vertex": {"type": "complex", "facets": [[0, 0, 1], [0, 1, 2]]},
+    "empty_simplex": {"type": "complex", "facets": [[]]},
     "sign_seven": {
         "type": "filtered_complex",
         "facets": S2_FACETS,
@@ -395,6 +396,35 @@ def test_bordism_of_an_invalid_stratification_is_usage_error(tmp_path, capsys):
     jsonio.write_file(str(path), doc)
     assert_usage_error(["bordism", "to-intrinsic", str(path)], capsys)
     assert_usage_error(["bordism", "between", str(path), "catalog:Sigma-T2"], capsys)
+
+
+@pytest.mark.parametrize("facets", [[[0]], [[0], [1], [2]], [[0], [1]]])
+def test_points_validate_and_bound_their_cylinders(facets, tmp_path, capsys):
+    # A 0-dimensional complex has no ridges, so none can lie in one facet.
+    path, cert = tmp_path / "points.json", tmp_path / "cylinder.json"
+    path.write_text(json.dumps({"type": "complex", "facets": facets}))
+    assert run(["validate", str(path)]) == 0
+    assert run(["validate", str(path), "--with-boundary"]) == 0
+    assert run(["bordism", "cylinder", str(path), "--out", str(cert)]) == 0
+    assert run(["bordism", "verify", str(cert)]) == 0
+
+
+@pytest.mark.parametrize(
+    "doc, failing",
+    [
+        ({"facets": [[2, 6, 7], [0, 2, 4], [0, 4, 7], [1, 3, 5], [1, 4, 6]]}, "['e', 'g']"),
+        ({"facets": [[0, 1, 3, 4], [1, 4, 5, 6]]}, "['e', 'g']"),
+        # An arc whose end points are 0-strata: no collar of the boundary.
+        ({"facets": [[3, 5]], "skeleta": [[[3], [5]]], "classical": False}, "['g']"),
+    ],
+)
+def test_cylinder_of_a_non_pseudomanifold_is_usage_error(doc, failing, tmp_path, capsys):
+    path = tmp_path / "pinched.json"
+    kind = "filtered_complex" if "skeleta" in doc else "complex"
+    path.write_text(json.dumps({"type": kind, **doc}))
+    assert_usage_error(["bordism", "cylinder", str(path)], capsys)
+    run(["bordism", "cylinder", str(path)])
+    assert capsys.readouterr().err == f"error: {path} fails clauses {failing}\n"
 
 
 def test_links_of_an_impure_complex_is_usage_error(tmp_path, capsys):

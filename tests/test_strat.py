@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cones_with_boundary, dunce_hat, subdivide_filtered
+from conftest import cones_with_boundary, dunce_hat, record_raw_calls, subdivide_filtered
 from stratabord import catalog, strat
 from stratabord.algebra import QQ, ZZ, HomologyGroup, homology
 from stratabord.bordism import bordism_to_intrinsic, cylinder
@@ -334,11 +334,24 @@ def filtered_complexes(draw):
     return make_filtered(K, skeleta)
 
 
+def _union_find_strata(FX):
+    """The strata by a union-find over every open face, the routine that
+    the minimal open faces replaced, kept here as an oracle."""
+    strat._check_skeleta(FX)
+    out = []
+    for j in range(FX.dim + 1):
+        opens = FX.skeleton(j).faces - FX.skeleton(j - 1).faces
+        for comp in strat.components(opens, strat._face_edges(opens)):
+            out.append(strat.Stratum(j, frozenset(comp), j == FX.dim))
+    return tuple(sorted(out, key=lambda s: (s.dim, min(s.simplices))))
+
+
 @given(filtered_complexes())
 @settings(max_examples=150, deadline=None)
 def test_strata_and_connected_components_match_a_bfs_oracle(FX):
     got = [(S.dim, S.simplices, S.regular) for S in strata(FX)]
     assert got == _strata_oracle(FX)
+    assert FX.strata == _union_find_strata(FX)
     K = FX.complex
 
     def adjacent(v):
@@ -662,20 +675,6 @@ def test_raw_recognition_of_catalog_links_ignores_the_labels(entries):
         assert _raw_answers(_relabelled(L, labels)) == _raw_answers(L), sorted(L.facets)
 
 
-def _record_raw_calls(monkeypatch, recognise):
-    """A list to which each call of `recognise` past its memo appends K."""
-    raw = recognise.__wrapped__
-    cell = next(c for c in recognise.__closure__ if c.cell_contents is raw)
-    calls = []
-
-    def recording(K, flag):
-        calls.append(K)
-        return raw(K, flag)
-
-    monkeypatch.setattr(cell, "cell_contents", recording)
-    return calls
-
-
 def test_a_monotone_relabelling_is_answered_from_the_memo(entries, monkeypatch):
     # Every answer here is above dimension 2, so each one is flagged, and so
     # must each replay be.
@@ -685,7 +684,7 @@ def test_a_monotone_relabelling_is_answered_from_the_memo(entries, monkeypatch):
         first = _Flag()
         answer = recognise(K, first)
         assert first.heuristic
-        calls = _record_raw_calls(monkeypatch, recognise)
+        calls = record_raw_calls(monkeypatch, recognise)
         again = _Flag()
         assert recognise(_relabelled(K, [3 * v + 1000 for v in K.vertices]), again) == answer
         assert again.heuristic and calls == []
@@ -783,6 +782,16 @@ def test_collar_clause_reuses_clause_e_only_for_links_in_the_carrier():
     assert _failing_details(rep) == [("g", "link of boundary face (0,) is not a cone")]
 
 
+def test_a_boundary_must_miss_the_zero_skeleton():
+    # An arc with its end points as 0-strata has no collared boundary.
+    FX = make_filtered(build_complex([(3, 5)]), {0: [(3,), (5,)]}, [(3,), (5,)], classical=False)
+    rep = validate_stratified_pseudomanifold(FX, "with-boundary")
+    assert _failing_details(rep) == [("g", "boundary face (3,) lies in X^0")]
+    assert validate_stratified_pseudomanifold(
+        make_filtered(FX.complex, {}, [(3,), (5,)]), "with-boundary"
+    ).passed
+
+
 def test_strata_are_computed_once_per_filtration(entries):
     FX = entries["Sigma-T2"].stratifications[0]
     first = strata(FX)
@@ -817,3 +826,78 @@ def test_clause_f_names_the_clauses_a_stratum_link_fails():
     rep = validate_stratified_pseudomanifold(FX)
     assert rep.clause("a").passed and rep.clause("d").passed
     assert rep.clause("f").detail == "link of stratum dim 0 fails clauses ['e']"
+
+
+# ---------------------------------------------------------------------------
+# Strata from minimal open faces, and clause (e) without the links the ridge
+# degrees settle, against the routines they replaced
+
+
+def _every_face_stratum_links(FX, all_strata, boundary, flag):
+    """Clause (e) as the validator ran it with a link for every face, kept
+    here as an oracle for `strat._check_stratum_links`."""
+    K = FX.complex
+    collar = {}
+    for S in all_strata:
+        Xj = FX.skeleton(S.dim)
+        in_carrier = Xj == K
+        for s in sorted(S.simplices):
+            L = link(Xj, s)
+            want = S.dim - (len(s) - 1) - 1
+            if want < 0:
+                ok = L.is_empty()
+            elif s in boundary.faces:
+                ok = ball_like(L, flag)
+                if in_carrier:
+                    collar[s] = ok
+            else:
+                ok = sphere_like(L, flag) and L.dim == want
+            if not ok:
+                return False, f"stratum link of {s} is not a {want}-sphere", collar
+    return True, "", collar
+
+
+def _validation_cases(entries, carriers):
+    """(filtration, mode) for every catalog stratification, the given
+    bordism carriers, the cones with boundary and the criterion-1 mutations."""
+    from test_acceptance import _mutations
+
+    closed = [(FX, "closed") for entry in entries.values() for FX in entry.stratifications]
+    with_boundary = [(FX, "with-boundary") for FX in carriers + cones_with_boundary(entries)]
+    return closed + with_boundary + [(FX, mode) for _name, FX, mode, _c in _mutations()]
+
+
+def test_strata_match_the_union_find_oracle(entries, sigma_t2_carriers, sigma_t3_carrier):
+    for FX, _mode in _validation_cases(entries, sigma_t2_carriers + [sigma_t3_carrier]):
+        try:
+            expected = _union_find_strata(FX)
+        except MalformedFiltration:
+            with pytest.raises(MalformedFiltration):
+                strata(FX)
+            continue
+        assert FX.strata == expected
+
+
+def test_clause_e_matches_the_link_of_every_face(
+    entries, sigma_t2_carriers, sigma_t3_carrier, monkeypatch
+):
+    skipping = strat._check_stratum_links
+    calls = []
+
+    def both(FX, all_strata, boundary, flag):
+        old_flag, new_flag = _Flag(), _Flag()
+        old = _every_face_stratum_links(FX, all_strata, boundary, old_flag)
+        new = skipping(FX, all_strata, boundary, new_flag)
+        assert (new[:2], new_flag.heuristic) == (old[:2], old_flag.heuristic)
+        # A failure stops the old loop before it records every collar verdict.
+        assert new[2] == old[2] if old[0] else old[2].items() <= new[2].items()
+        calls.append(old[0])
+        flag.heuristic = flag.heuristic or new_flag.heuristic
+        return new
+
+    for FX, mode in _validation_cases(entries, sigma_t2_carriers + [sigma_t3_carrier]):
+        monkeypatch.setattr(strat, "_check_stratum_links", _every_face_stratum_links)
+        expected = validate_stratified_pseudomanifold(FX, mode)
+        monkeypatch.setattr(strat, "_check_stratum_links", both)
+        assert validate_stratified_pseudomanifold(FX, mode) == expected
+    assert True in calls and False in calls
