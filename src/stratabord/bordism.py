@@ -28,13 +28,12 @@ from .complexes import (
     OrientationAssignment,
     Simplex,
     SimplicialComplex,
+    _propagate,
     boundary_orientation,
     boundary_subcomplex,
     build_complex,
     incidence,
-    orient,
     product_with_map,
-    ridges_with_facets,
     suspension,
     suspension_poles,
     verify_orientation,
@@ -57,7 +56,6 @@ from .strat import (
     FilteredComplex,
     _Flag,
     check_pseudomanifold,
-    components,
     filtered_by_depth,
     germ_partition,
     intrinsic_stratification,
@@ -157,7 +155,7 @@ def verify_corner_unfolding(scheme=None) -> bool:
     # Interior edge coherence: every interior edge lies in exactly two
     # triangles on opposite sides, in both embeddings.
     K = build_complex(scheme["domain_facets"])
-    for r, fs in ridges_with_facets(K).items():
+    for r, fs in K.ridges.items():
         if len(fs) != 2:
             continue
         for coords in (dom, strip):
@@ -229,30 +227,21 @@ def _orient_pinned(
     propagation component must contain at least one pinned ridge, and all pins
     within a component must agree.
     """
-    base = orient(Yc, skip_ridges=skip)
-    # Propagation components over non-skipped interior ridges.
-    rwf = ridges_with_facets(Yc)
-    glued = (fs for r, fs in rwf.items() if len(fs) == 2 and r not in skip)
-    parts = components(sorted(Yc.facets), glued)
-    comp = {f: cid for cid, part in enumerate(parts) for f in part}
-    flip: Dict[int, int] = {}
+    signs, root_of = _propagate(Yc, skip)
+    flip: Dict[Simplex, int] = {}
     for r, want in pins.items():
-        fs = rwf.get(r, [])
+        fs = Yc.ridges.get(r, ())
         if len(fs) != 1:
             raise InternalInvariantBreach(f"pinned ridge {r} is not free")
         F = fs[0]
-        got = base.signs[F] * incidence(F, r)
-        fix = want * got  # ±1
-        c = comp[F]
-        if flip.setdefault(c, fix) != fix:
+        fix = want * signs[F] * incidence(F, r)  # ±1
+        if flip.setdefault(root_of[F], fix) != fix:
             raise InternalInvariantBreach(
                 "conflicting orientation pins within one component"
             )
-    if len(flip) != len(parts):
+    if len(flip) != len(set(root_of.values())):
         raise InternalInvariantBreach("orientation component carries no pin")
-    return OrientationAssignment(
-        {f: base.signs[f] * flip[comp[f]] for f in Yc.facets}
-    )
+    return OrientationAssignment({f: signs[f] * flip[root_of[f]] for f in Yc.facets})
 
 
 def _product(
@@ -451,7 +440,7 @@ def glue(
     # Relabel Y2: seam vertices land on their Y1 partners, the rest move above
     # the Y1 vertex range.
     relabel = {p2.iso.vertex_map[w]: p1.iso.vertex_map[v] for v, w in iso.vertex_map.items()}
-    fresh = itertools.count(max(Y1.Y.complex.vertices) + 1)
+    fresh = itertools.count(max(Y1.Y.complex.vertices, default=-1) + 1)
     for u in Y2.Y.complex.vertices:
         if u not in relabel:
             relabel[u] = next(fresh)
@@ -460,7 +449,7 @@ def glue(
         return tuple(sorted(relabel[v] for v in s))
 
     facets = list(Y1.Y.complex.facets) + [map2(f) for f in Y2.Y.complex.facets]
-    Gc = build_complex(facets)
+    Gc = build_complex(facets, empty_ok=True)
     gens = {
         j: list(Y1.Y.skeleton(j).faces) + [map2(f) for f in Y2.Y.skeleton(j).faces]
         for j in range(Gc.dim)
@@ -480,9 +469,8 @@ def glue(
         signs.update(Y2.Y.orientation.relabel(relabel).signs)
         oy = OrientationAssignment(signs)
         # Seam coherence: induced orientations from the two sides must cancel.
-        rwf = ridges_with_facets(Gc)
         for r in sorted(seam_facets):
-            fs = rwf.get(r, [])
+            fs = Gc.ridges.get(r, ())
             if len(fs) != 2:
                 raise SignClash(f"seam ridge {r} lies in {len(fs)} facets")
             total = sum(signs[f] * incidence(f, r) for f in fs)

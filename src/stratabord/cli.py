@@ -368,11 +368,9 @@ def _cmd_bordism(args) -> int:
         _require_valid(FX, args.space)
         cert = bordism.bordism_to_intrinsic(FX)
     elif args.mode == "cylinder":
-        # Validated on the boundary the cylinder is built on.  An empty one
-        # is left undesignated, as clause (g) wants a boundary of dimension n − 1.
+        # Validated on the boundary the cylinder is built on.
         require_pure(FX)
-        B = bordism.designated_boundary(FX)
-        FXB = dataclasses.replace(FX, boundary=B if B.facets else None)
+        FXB = dataclasses.replace(FX, boundary=bordism.designated_boundary(FX))
         _require_valid(FXB, args.space, "with-boundary")
         cert = bordism.cylinder(FX)
     elif args.mode == "between":
@@ -396,6 +394,12 @@ def _cmd_glue(args) -> int:
     labels = tuple(args.along.split(","))
     if len(labels) != 2:
         raise StrataError("--along needs two comma-separated piece labels")
+    for cert, ref in ((c1, args.cert1), (c2, args.cert2)):
+        # A certificate that fails verification is bad input.
+        checks = bordism.verify_certificate(cert).checks
+        failing = [name for name, ok in checks.items() if not ok]
+        if failing:
+            raise NotValidated(f"{ref} fails checks {failing}")
     cert = bordism.glue(c1, c2, labels)
     report, lines = _cert_report(cert, args, "glue")
     _maybe_write(args, jsonio.certificate_to_json(cert))

@@ -11,6 +11,12 @@ The empty complex is first class and carries a nominal dimension tag, so that
 `link` and `star` read a cached star index (the facets through each vertex).
 They rely on the facets being maximal: `build_complex` makes them so, and
 `relabel` keeps them so because it takes an injective vertex map.
+
+Every ridge-degree check and orientation pass reads one cached ridge index,
+`K.ridges`: each codimension-one face of a facet, mapped to the facets it is
+a codimension-one face of.  Its order is output (the first failing ridge, the
+facet cycle of a non-orientability witness): ridges come in the order first
+met over the sorted facets, and each ridge's facets in sorted order.
 """
 
 from __future__ import annotations
@@ -77,6 +83,22 @@ class SimplicialComplex:
             for v in f:
                 through.setdefault(v, set()).add(i)
         return facets, through
+
+    @cached_property
+    def ridges(self) -> Dict[Simplex, Tuple[Simplex, ...]]:
+        """Each ridge mapped to the facets containing it (see the module docstring).
+
+        A vertex facet has no ridges: the empty simplex is no face.
+        """
+        out: Dict[Simplex, list] = {}
+        for f in sorted(self.facets):
+            if len(f) < 2:
+                continue
+            for i in range(len(f)):
+                out.setdefault(f[:i] + f[i + 1 :], []).append(f)
+        for r, fs in out.items():
+            out[r] = tuple(fs)
+        return out
 
     def faces_of_dim(self, d: int) -> List[Simplex]:
         return self._faces_by_dim.get(d, [])
@@ -352,28 +374,13 @@ def collapses_to_point(K: SimplicialComplex, drop: Optional[Simplex] = None) -> 
     return len(left) == 1
 
 
-def ridges_with_facets(K: SimplicialComplex) -> Dict[Simplex, List[Simplex]]:
-    """Map each (n−1)-face to the sorted list of facets containing it.
-
-    A complex of dimension 0 has no ridges: the empty simplex is no face.
-    """
-    out: Dict[Simplex, List[Simplex]] = {}
-    for f in sorted(K.facets):
-        if len(f) < 2:
-            continue
-        for i in range(len(f)):
-            r = f[:i] + f[i + 1 :]
-            out.setdefault(r, []).append(f)
-    return out
-
-
 def boundary_subcomplex(K: SimplicialComplex) -> SimplicialComplex:
     """Subcomplex generated by the ridges lying in exactly one facet."""
     if K.is_empty():
         return K
     if not K.is_pure:
         raise NotPure("boundary is defined for pure complexes only")
-    rim = [r for r, fs in ridges_with_facets(K).items() if len(fs) == 1]
+    rim = [r for r, fs in K.ridges.items() if len(fs) == 1]
     if not rim:
         return EMPTY
     return build_complex(rim)
@@ -419,18 +426,11 @@ def verify_orientation(
 
     Ridges listed in skip_ridges (e.g. those inside a singular set) are exempt.
     """
-    for r, fs in ridges_with_facets(K).items():
-        if len(fs) != 2:
-            continue
-        if skip_ridges and r in skip_ridges:
-            continue
-        f1, f2 = fs
-        if (
-            oa.signs[f1] * incidence(f1, r) + oa.signs[f2] * incidence(f2, r)
-            != 0
-        ):
-            return False
-    return True
+    return all(
+        sum(oa.signs[f] * incidence(f, r) for f in fs) == 0
+        for r, fs in K.ridges.items()
+        if len(fs) == 2 and r not in (skip_ridges or ())
+    )
 
 
 def orient(
@@ -443,13 +443,21 @@ def orient(
     conflict, or RidgeDegreeViolation when a non-skipped ridge lies in more
     than two facets.
     """
+    return OrientationAssignment(_propagate(K, skip_ridges)[0])
+
+
+def _propagate(
+    K: SimplicialComplex, skip_ridges: Optional[FrozenSet[Simplex]]
+) -> Tuple[Dict[Simplex, int], Dict[Simplex, Simplex]]:
+    """The signs of `orient`, and for each facet the root of its propagation
+    component: the component's first facet, the one that got +1."""
     if K.is_empty():
-        return OrientationAssignment({})
+        return {}, {}
     if not K.is_pure:
         raise NotPure("orientation is defined for pure complexes only")
     adj: Dict[Simplex, List[Tuple[Simplex, Simplex]]] = {f: [] for f in K.facets}
-    for r, fs in ridges_with_facets(K).items():
-        if skip_ridges and r in skip_ridges:
+    for r, fs in K.ridges.items():
+        if r in (skip_ridges or ()):
             continue
         if len(fs) > 2:
             raise RidgeDegreeViolation(f"ridge {r} lies in {len(fs)} facets")
@@ -458,11 +466,13 @@ def orient(
             adj[fs[1]].append((fs[0], r))
     signs: Dict[Simplex, int] = {}
     parent: Dict[Simplex, Optional[Simplex]] = {}
+    root_of: Dict[Simplex, Simplex] = {}
     for root in sorted(K.facets):
         if root in signs:
             continue
         signs[root] = 1
         parent[root] = None
+        root_of[root] = root
         queue = [root]
         while queue:
             f = queue.pop()
@@ -471,11 +481,12 @@ def orient(
                 if g not in signs:
                     signs[g] = forced
                     parent[g] = f
+                    root_of[g] = root
                     queue.append(g)
                 elif signs[g] != forced:
                     witness = _facet_cycle(parent, f, g)
                     raise NotOrientable("complex is not orientable", witness)
-    return OrientationAssignment(signs)
+    return signs, root_of
 
 
 def _facet_cycle(parent, f, g):
@@ -507,9 +518,6 @@ def boundary_orientation(
     K: SimplicialComplex, oa: OrientationAssignment
 ) -> OrientationAssignment:
     """Induced orientation of the boundary subcomplex: sign = sign(F)·incidence."""
-    signs = {}
-    for r, fs in ridges_with_facets(K).items():
-        if len(fs) == 1:
-            f = fs[0]
-            signs[r] = oa.signs[f] * incidence(f, r)
-    return OrientationAssignment(signs)
+    return OrientationAssignment(
+        {r: oa.signs[fs[0]] * incidence(fs[0], r) for r, fs in K.ridges.items() if len(fs) == 1}
+    )

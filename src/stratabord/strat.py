@@ -38,7 +38,6 @@ from .complexes import (
     empty_complex,
     join,
     link,
-    ridges_with_facets,
     star,
     suspension,
 )
@@ -355,9 +354,7 @@ def connected_components(K: SimplicialComplex) -> int:
 
 
 def _is_closed_pseudo(K: SimplicialComplex) -> bool:
-    if not K.is_pure:
-        return False
-    return all(len(fs) == 2 for fs in ridges_with_facets(K).values())
+    return K.is_pure and all(len(fs) == 2 for fs in K.ridges.values())
 
 
 def is_circle(K: SimplicialComplex) -> bool:
@@ -535,7 +532,7 @@ def check_pseudomanifold(K: SimplicialComplex, closed: bool = True):
         return
     if not K.is_pure:
         raise NotPseudomanifold("complex is not pure")
-    for r, fs in ridges_with_facets(K).items():
+    for r, fs in K.ridges.items():
         if len(fs) > 2 or (closed and len(fs) != 2):
             raise NotPseudomanifold(f"ridge {r} lies in {len(fs)} facets")
 
@@ -773,7 +770,7 @@ def validate_stratified_pseudomanifold(
     # Ridge degrees: interior ridges in two facets, boundary ridges in one.
     boundary = FX.boundary if FX.boundary is not None else EMPTY
     ok_ridge, det_ridge = True, ""
-    for r, fs in ridges_with_facets(K).items():
+    for r, fs in K.ridges.items():
         if len(fs) > 2:
             ok_ridge, det_ridge = False, f"ridge {r} lies in {len(fs)} facets"
             break
@@ -827,12 +824,12 @@ def validate_stratified_pseudomanifold(
     # (g) boundary clauses
     if mode == "with-boundary":
         ok_g, det_g = True, ""
-        if FX.boundary is None:
-            bd = [r for r, fs in ridges_with_facets(K).items() if len(fs) == 1]
-            if bd:
+        if boundary.is_empty():
+            # An empty designated boundary is no boundary.
+            if any(len(fs) == 1 for fs in K.ridges.values()):
                 ok_g, det_g = False, "free ridges exist but no boundary is designated"
         else:
-            B = FX.boundary
+            B = boundary
             # Induced filtration B^i = X^{i+1} ∩ B must make B a closed
             # stratified pseudomanifold of dimension n−1.  A collared stratum
             # meets B in a stratum one dimension lower, so B^{−1} = X⁰ ∩ B is empty.

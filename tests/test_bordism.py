@@ -29,12 +29,15 @@ from stratabord.complexes import (
     OrientationAssignment,
     boundary_subcomplex,
     build_complex,
+    incidence,
+    orient,
     product_with_map,
     suspension_poles,
 )
 from stratabord.iso import LabeledIsomorphism
 from stratabord.errors import (
     DifferentCarrier,
+    InternalInvariantBreach,
     NotClassical,
     NotClosed,
     SignClash,
@@ -359,3 +362,44 @@ def test_stratified_isomorphism_respects_the_filtration(entries):
     edge = make_filtered(K, {0: [(0,), (1,)], 1: [(0, 1)]})
     assert stratified_isomorphism(poles, poles) is not None
     assert stratified_isomorphism(poles, edge) is None
+
+
+def _orient_pinned_by_union_find(Yc, skip, pins):
+    """`bordism._orient_pinned` as it was before it read the propagation
+    components from `orient`'s own pass, kept as an oracle: `orient`, then the
+    components found again by a union-find over the glued ridges."""
+    base = orient(Yc, skip_ridges=skip)
+    glued = (fs for r, fs in Yc.ridges.items() if len(fs) == 2 and r not in skip)
+    parts = strat.components(sorted(Yc.facets), glued)
+    comp = {f: cid for cid, part in enumerate(parts) for f in part}
+    flip = {}
+    for r, want in pins.items():
+        fs = Yc.ridges.get(r, ())
+        if len(fs) != 1:
+            raise InternalInvariantBreach(f"pinned ridge {r} is not free")
+        F = fs[0]
+        fix = want * base.signs[F] * incidence(F, r)
+        if flip.setdefault(comp[F], fix) != fix:
+            raise InternalInvariantBreach("conflicting orientation pins within one component")
+    if len(flip) != len(parts):
+        raise InternalInvariantBreach("orientation component carries no pin")
+    return OrientationAssignment({f: base.signs[f] * flip[comp[f]] for f in Yc.facets})
+
+
+def test_pinned_orientation_matches_the_union_find_oracle(entries, monkeypatch):
+    pinned, calls = bordism._orient_pinned, []
+
+    def both(*args):
+        got = pinned(*args)
+        assert got.signs == _orient_pinned_by_union_find(*args).signs
+        calls.append(args[0])
+        return got
+
+    monkeypatch.setattr(bordism, "_orient_pinned", both)
+    spaces = [FX for entry in entries.values() for FX in entry.stratifications]
+    for FX in spaces:
+        if FX.orientation is not None:
+            bordism_to_intrinsic(FX)
+    for FX in spaces + cones_with_boundary(entries):
+        cylinder(FX)
+    assert len(calls) >= 45

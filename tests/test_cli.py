@@ -441,3 +441,51 @@ def test_bordism_between_two_stratifications(capsys):
     report = json.loads(out)
     assert report["passed"] is True
     assert [(p["label"], p["sign"]) for p in report["pieces"]] == [("plus", 1), ("minus", -1)]
+
+
+def test_an_empty_designated_boundary_is_no_boundary(tmp_path, capsys):
+    path, cert = tmp_path / "s2.json", tmp_path / "cylinder.json"
+    assert run(["catalog", "emit", "S2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["boundary"] = []
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out = run_capture(capsys, ["validate", str(path), "--with-boundary", "--json"])
+    assert code == 0
+    assert json.loads(out)["clauses"][-1] == {"clause": "g", "passed": True, "detail": ""}
+    assert run(["bordism", "cylinder", str(path), "--out", str(cert)]) == 0
+    assert run(["bordism", "verify", str(cert)]) == 0
+
+
+def test_glue_of_a_certificate_that_fails_verification_is_usage_error(tmp_path, capsys):
+    good, bad = tmp_path / "c.json", tmp_path / "bad.json"
+    assert run(["bordism", "cylinder", "catalog:S1", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["carrier"]["orientation"][0][1] *= -1
+    bad.write_text(json.dumps(doc))
+    assert run(["bordism", "verify", str(bad)]) == 1
+    for pair in ((bad, good), (good, bad)):
+        argv = ["glue", *map(str, pair), "--along", "minus,plus"]
+        assert_usage_error(argv, capsys)
+        run(argv)
+        assert capsys.readouterr().err == f"error: {bad} fails checks ['signs_match']\n"
+
+
+def test_glue_of_empty_carriers_is_the_empty_bordism(tmp_path, capsys):
+    empty = {"type": "filtered_complex", "facets": [], "skeleta": []}
+    doc = {
+        "type": "bordism_certificate",
+        "carrier": empty,
+        "provenance": "empty",
+        "pieces": [
+            {"label": label, "sign": sign, "space": empty, "iso": []}
+            for label, sign in (("plus", 1), ("minus", -1))
+        ],
+        "collars": {label: {"kind": "product", "data": []} for label in ("plus", "minus")},
+    }
+    path, out = tmp_path / "empty.json", tmp_path / "glued.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["glue", str(path), str(path), "--along", "minus,plus", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["bordism", "verify", str(out)]) == 0

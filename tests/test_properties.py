@@ -17,7 +17,6 @@ from stratabord.complexes import (
     cone,
     is_orientable,
     orient,
-    ridges_with_facets,
     suspension,
     verify_orientation,
 )
@@ -98,7 +97,7 @@ def test_subdivision_preserves_homology(K):
 def test_orientation_witness_verifies_when_orientable(K):
     if not K.is_pure:
         return
-    if any(len(fs) > 2 for fs in ridges_with_facets(K).values()):
+    if any(len(fs) > 2 for fs in K.ridges.values()):
         return  # orientability is defined for pseudomanifold ridge degrees only
     if is_orientable(K):
         oa = orient(K)
