@@ -12,7 +12,7 @@ test for spaces-with-boundary F_E (all interior polyhedral links allowed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from . import algebra, ih
 from .algebra import QQ, Ring, ZZ
@@ -65,19 +65,10 @@ class SingularityClass:
     name: str
     kind: str  # "E", "G" or "Siegel"
     predicate: Callable[[SimplicialComplex], ClassVerdict] = dc_field(hash=False)
-    # Verdicts by K.facets, one dict per class object: not by shape as in `strat`,
-    # because a witness names vertices (`core_facets`, a nested `link`).
-    _verdicts: Dict[object, ClassVerdict] = dc_field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
 
     def member(self, K: SimplicialComplex) -> ClassVerdict:
-        hit = self._verdicts.get(K.facets)
-        if hit is None:
-            hit = self._verdicts[K.facets] = self._member_raw(K)
-        return hit
-
-    def _member_raw(self, K: SimplicialComplex) -> ClassVerdict:
+        # Computed on every call: the costly part, middle IH, is memoized per
+        # link shape in `_middle_ih`.
         if K.is_empty():
             return _yes("empty space")
         try:

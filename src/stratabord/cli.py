@@ -215,15 +215,12 @@ def _cmd_ih(args) -> int:
         "input": digest,
         "ring": str(ring),
         "perversity": args.perversity,
-        "table": [
-            {"degree": g.degree, "rank": g.rank, "torsion": list(g.torsion)}
-            for g in groups
-        ],
+        "table": _homology_table(groups),
     }
     lines = [f"intersection homology ({args.perversity}, {ring})"]
-    for g in groups:
+    for i, g in enumerate(groups):
         parts = [f"rank {g.rank}"] + [f"Z/{d}" for d in g.torsion]
-        lines.append(f"  I H_{g.degree}: " + ", ".join(parts))
+        lines.append(f"  I H_{i}: " + ", ".join(parts))
     _emit(report, args, lines)
     return 0
 

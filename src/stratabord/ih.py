@@ -89,13 +89,6 @@ def top_perversity(n: int) -> Perversity:
     return Perversity(tuple(k - 2 for k in range(2, n + 1)), "top")
 
 
-@dataclass(frozen=True)
-class IHGroup:
-    degree: int
-    rank: int
-    torsion: Tuple[int, ...] = ()
-
-
 def is_full(FX: FilteredComplex) -> bool:
     """No simplex has all its vertices in a skeleton without lying in it:
     no face is deeper than the deepest of its vertices."""
@@ -188,15 +181,14 @@ def allowable_simplices(FX: FilteredComplex, p: Perversity) -> List[List[Simplex
 
 def intersection_homology(
     FX: FilteredComplex, p: Perversity, ring: Ring = ZZ
-) -> List[IHGroup]:
+) -> List[algebra.HomologyGroup]:
     """I^p̄H_* of the filtered complex; exact over ℤ, ℚ and prime fields."""
     n = FX.dim
     require_pure(FX)
     if p.top < n and not FX.skeleton(n - p.top - 1).is_empty():
         raise PerversityViolation("perversity table too short for this filtration")
     FX = ensure_full(FX)
-    groups = algebra.homology_of_allowable_chains(FX.complex, allowable_simplices(FX, p), ring)
-    return [IHGroup(i, g.rank, g.torsion) for i, g in enumerate(groups)]
+    return algebra.homology_of_allowable_chains(FX.complex, allowable_simplices(FX, p), ring)
 
 
 def ih_torsion(FX: FilteredComplex, p: Perversity, degree: int) -> Tuple[int, ...]:

@@ -358,13 +358,8 @@ def _is_closed_pseudo(K: SimplicialComplex) -> bool:
 
 
 def is_circle(K: SimplicialComplex) -> bool:
-    if K.dim != 1 or not K.is_pure:
-        return False
-    deg: Dict[int, int] = {}
-    for e in K.facets:
-        for v in e:
-            deg[v] = deg.get(v, 0) + 1
-    return all(d == 2 for d in deg.values()) and connected_components(K) == 1
+    # In dimension 1 the ridges are the vertices.
+    return K.dim == 1 and _is_closed_pseudo(K) and connected_components(K) == 1
 
 
 def _is_closed_surface(K: SimplicialComplex) -> bool:
@@ -676,13 +671,15 @@ def _check_stratum_links(
     boundary.  Returns (passed, detail, collar), where collar holds the
     verdicts on boundary-face links taken in the carrier, for clause (g).
 
-    Lemma: faces of dimension n and n − 1 of the regular stratum need no link.
-    The carrier is pure (clause (b)), so the link of a facet is empty.  A
-    ridge lies in two facets, or in one exactly when it is on the boundary
-    (the ridge degrees), so its link is two points, a 0-sphere, or one point,
-    a cone.  Those verdicts are true and set no flag.
+    Lemma: only faces below the top dimension of their stratum need a link,
+    and on the regular stratum only faces below its ridges.  Clause (a)
+    bounds dim X^j by j, so a j-face of a j-stratum is a facet of X^j and its
+    link is empty, the (−1)-sphere.  A ridge lies in two facets, or in one
+    exactly when it is on the boundary (the ridge degrees), so its link is
+    two points, a 0-sphere, or one point, a cone.  Those verdicts are true
+    and set no flag.
     """
-    K, n = FX.complex, FX.dim
+    n = FX.dim
     # The lemma's cones: the boundary ridges of the regular strata.
     regular_rim = (r for r in boundary.faces_of_dim(n - 1) if FX.depth.get(r) == n)
     collar = dict.fromkeys(regular_rim, True)
@@ -690,16 +687,13 @@ def _check_stratum_links(
         # Every coface of s in X^j lies in the open stratum S, so the
         # link in the skeleton is the link inside the stratum.
         Xj = FX.skeleton(S.dim)
-        in_carrier = Xj == K
-        faces = [s for s in S.simplices if len(s) < n] if S.regular else S.simplices
-        for s in sorted(faces):
+        top = S.dim - 1 if S.regular else S.dim
+        for s in sorted(f for f in S.simplices if len(f) <= top):
             L = link(Xj, s)
             want = S.dim - (len(s) - 1) - 1
-            if want < 0:
-                ok = L.is_empty()
-            elif s in boundary.faces:
+            if s in boundary.faces:
                 ok = ball_like(L, flag)
-                if in_carrier:
+                if S.regular:  # a singular X^j has dimension below n: not K
                     collar[s] = ok
             else:
                 ok = sphere_like(L, flag) and L.dim == want
@@ -711,7 +705,13 @@ def _check_stratum_links(
 def validate_stratified_pseudomanifold(
     FX: FilteredComplex, mode: str = "closed", _depth: int = 0
 ) -> ValidationReport:
-    """Clause-by-clause validation; see the module docstring for exactness levels."""
+    """Clause-by-clause validation; see the module docstring for exactness levels.
+
+    Clause (c) follows from (a) and (b), so it is recorded without a check.
+    Clause (e) takes links only below the top dimension of each stratum (see
+    `_check_stratum_links`); (f) and (g) validate the links of the singular
+    strata and the boundary as closed filtrations one level down.
+    """
     if mode not in ("closed", "with-boundary"):
         raise ValueError("mode must be 'closed' or 'with-boundary'")
     K = FX.complex
@@ -720,7 +720,7 @@ def validate_stratified_pseudomanifold(
     clauses: List[ClauseResult] = []
 
     if K.is_empty():
-        clauses = [ClauseResult(c, True, "empty complex") for c in "abcdefg"[: 7]]
+        clauses = [ClauseResult(c, True, "empty complex") for c in "abcdefg"]
         return ValidationReport(mode, True, tuple(clauses), False, "empty pseudomanifold")
 
     # (a) nesting
@@ -746,14 +746,9 @@ def validate_stratified_pseudomanifold(
     if not (ok_a and ok_b):
         return ValidationReport(mode, False, tuple(clauses), flag.heuristic)
 
-    # (c) density of the regular part
-    sing_faces = FX.skeleton(n - 1).faces
-    regular = SimplicialComplex(frozenset(f for f in K.facets if f not in sing_faces))
-    missing = K.faces - regular.faces
-    ok_c = not missing
-    clauses.append(
-        ClauseResult("c", ok_c, "" if ok_c else f"face {min(missing)} misses the regular part")
-    )
+    # (c) density of the regular part: by (b) every face lies in an n-face,
+    # and by (a) no n-face lies in X^{n−1}, so the regular part is all of K.
+    clauses.append(ClauseResult("c", True, ""))
 
     # (d) classical
     same = FX.skeleton(n - 1).faces == FX.skeleton(n - 2).faces
@@ -789,6 +784,13 @@ def validate_stratified_pseudomanifold(
         ok_e, det_e, collar = _check_stratum_links(FX, all_strata, boundary, flag)
     clauses.append(ClauseResult("e", ok_e, det_e))
 
+    def recurse(child: FilteredComplex) -> List[str]:
+        """Validate a child filtration closed, one level down; fold its flag
+        into ours and return the clauses it fails."""
+        rep = validate_stratified_pseudomanifold(child, "closed", _depth + 1)
+        flag.heuristic = flag.heuristic or rep.heuristic
+        return rep.failing()
+
     # (f) recursive link condition on singular strata
     ok_f, det_f = True, ""
     if _depth >= 12 and not all(S.regular for S in all_strata):
@@ -809,13 +811,10 @@ def validate_stratified_pseudomanifold(
                 if L.facets in seen:
                     continue
                 seen.add(L.facets)
-                LF = _restrict_to_skeleta(FX, L, s)
-                rep = validate_stratified_pseudomanifold(LF, "closed", _depth + 1)
-                if rep.heuristic:
-                    flag.heuristic = True
-                if not rep.passed:
+                failing = recurse(_restrict_to_skeleta(FX, L, s))
+                if failing:
                     ok_f = False
-                    det_f = f"link of stratum dim {S.dim} fails clauses {rep.failing()}"
+                    det_f = f"link of stratum dim {S.dim} fails clauses {failing}"
                     break
             if not ok_f:
                 break
@@ -842,11 +841,9 @@ def validate_stratified_pseudomanifold(
                 BF = filtered_by_depth(
                     B, lambda f: FX.depth[f] - 1, classical=FX.classical
                 )
-                rep = validate_stratified_pseudomanifold(BF, "closed", _depth + 1)
-                if rep.heuristic:
-                    flag.heuristic = True
-                if not rep.passed:
-                    ok_g, det_g = False, f"boundary fails clauses {rep.failing()}"
+                failing = recurse(BF)
+                if failing:
+                    ok_g, det_g = False, f"boundary fails clauses {failing}"
             if ok_g:
                 # Collar necessary condition: links of boundary faces are cones.
                 for s in sorted(B.faces):

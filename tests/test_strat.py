@@ -8,15 +8,17 @@ the circle-product law).
 import itertools
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conftest import cones_with_boundary, dunce_hat, record_raw_calls, subdivide_filtered
 from stratabord import catalog, strat
 from stratabord.algebra import QQ, ZZ, HomologyGroup, homology
 from stratabord.bordism import bordism_to_intrinsic, cylinder
 from stratabord.complexes import (
+    SimplicialComplex,
     boundary_subcomplex,
     build_complex,
     collapses_to_point,
@@ -37,6 +39,7 @@ from stratabord.errors import (
 from stratabord.ih import intersection_homology, lower_middle, upper_middle
 from stratabord.iso import isomorphic
 from stratabord.strat import (
+    ClauseResult,
     FilteredComplex,
     _Flag,
     _restrict_to_skeleta,
@@ -45,6 +48,7 @@ from stratabord.strat import (
     connected_components,
     germ_partition,
     intrinsic_stratification,
+    is_circle,
     literal_desuspension,
     make_filtered,
     octahedral_sphere,
@@ -878,11 +882,31 @@ def test_strata_match_the_union_find_oracle(entries, sigma_t2_carriers, sigma_t3
         assert FX.strata == expected
 
 
-def test_clause_e_matches_the_link_of_every_face(
-    entries, sigma_t2_carriers, sigma_t3_carrier, monkeypatch
-):
+@st.composite
+def pure_filtered_complexes(draw):
+    """A pure complex, or its boundary (a mod-2 cycle, often closed),
+    with random skeleta that pass clause (a), and its free ridges as the
+    designated boundary."""
+    d = draw(st.integers(1, 4))
+    facet = st.lists(st.integers(0, 6), min_size=d + 1, max_size=d + 1, unique=True)
+    K = build_complex(draw(st.lists(facet, min_size=1, max_size=8)))
+    if draw(st.booleans()) and not boundary_subcomplex(K).is_empty():
+        K = boundary_subcomplex(K)
+    n, faces = K.dim, sorted(K.faces)
+    classical = draw(st.booleans())
+    skeleta = {}
+    for j in range(n - 1 if classical else n):
+        low = [f for f in faces if len(f) <= j + 1]
+        skeleta[j] = draw(st.lists(st.sampled_from(low), max_size=3))
+    return make_filtered(K, skeleta, boundary_subcomplex(K).facets, None, classical)
+
+
+def _compare_clause_e(FX, mode, calls):
+    """Validate FX with the every-face oracle as clause (e), then with the
+    validator's own clause (e) checked against the oracle on each call; the
+    reports must be equal.  Each call appends (oracle verdict, strata,
+    boundary) to calls."""
     skipping = strat._check_stratum_links
-    calls = []
 
     def both(FX, all_strata, boundary, flag):
         old_flag, new_flag = _Flag(), _Flag()
@@ -891,13 +915,108 @@ def test_clause_e_matches_the_link_of_every_face(
         assert (new[:2], new_flag.heuristic) == (old[:2], old_flag.heuristic)
         # A failure stops the old loop before it records every collar verdict.
         assert new[2] == old[2] if old[0] else old[2].items() <= new[2].items()
-        calls.append(old[0])
+        calls.append((old[0], all_strata, boundary))
         flag.heuristic = flag.heuristic or new_flag.heuristic
         return new
 
-    for FX, mode in _validation_cases(entries, sigma_t2_carriers + [sigma_t3_carrier]):
-        monkeypatch.setattr(strat, "_check_stratum_links", _every_face_stratum_links)
+    with mock.patch.object(strat, "_check_stratum_links", _every_face_stratum_links):
         expected = validate_stratified_pseudomanifold(FX, mode)
-        monkeypatch.setattr(strat, "_check_stratum_links", both)
+    with mock.patch.object(strat, "_check_stratum_links", both):
         assert validate_stratified_pseudomanifold(FX, mode) == expected
-    assert True in calls and False in calls
+
+
+def test_clause_e_matches_the_link_of_every_face(
+    entries, sigma_t2_carriers, sigma_t3_carrier
+):
+    calls = []
+    for FX, mode in _validation_cases(entries, sigma_t2_carriers + [sigma_t3_carrier]):
+        _compare_clause_e(FX, mode, calls)
+    assert {ok for ok, _strata, _boundary in calls} == {True, False}
+
+
+@given(pure_filtered_complexes(), st.sampled_from(["closed", "with-boundary"]))
+@settings(max_examples=300, deadline=None)
+def test_clause_e_matches_the_link_of_every_face_on_hypothesis_complexes(FX, mode):
+    calls = []
+    _compare_clause_e(FX, mode, calls)
+    for ok, all_strata, boundary in calls:
+        event(f"clause (e) passed: {ok}")
+        for S in all_strata:
+            for s in S.simplices:
+                if not S.regular and len(s) == S.dim + 1:
+                    on = "on" if s in boundary.faces else "off"
+                    event(f"a singular top face {on} the boundary")
+
+
+# ---------------------------------------------------------------------------
+# Clause (c) and is_circle, against the computations they replaced
+
+
+def _regular_part_misses(FX):
+    """The faces of the carrier outside the closure of the facets not in
+    X^{n−1}: clause (c) as the validator computed it, kept here as an oracle."""
+    K = FX.complex
+    sing_faces = FX.skeleton(FX.dim - 1).faces
+    regular = SimplicialComplex(frozenset(f for f in K.facets if f not in sing_faces))
+    return K.faces - regular.faces
+
+
+def _check_clause_c(FX, mode):
+    """Where (a) and (b) pass on a non-empty carrier, the regular part is
+    dense and the report's clause (c) passes with no detail."""
+    rep = validate_stratified_pseudomanifold(FX, mode)
+    if FX.complex.is_empty() or not (rep.clause("a").passed and rep.clause("b").passed):
+        return False
+    assert not _regular_part_misses(FX)
+    assert rep.clause("c") == ClauseResult("c", True, "")
+    return True
+
+
+def test_clause_c_matches_the_density_of_the_regular_part(
+    entries, sigma_t2_carriers, sigma_t3_carrier
+):
+    cases = _validation_cases(entries, sigma_t2_carriers + [sigma_t3_carrier])
+    checked = [_check_clause_c(FX, mode) for FX, mode in cases]
+    assert True in checked and False in checked
+
+
+@given(st.one_of(filtered_complexes(), pure_filtered_complexes()))
+@settings(max_examples=150, deadline=None)
+def test_clause_c_matches_the_density_of_the_regular_part_on_hypothesis_complexes(FX):
+    for mode in ("closed", "with-boundary"):
+        _check_clause_c(FX, mode)
+
+
+def _degree_count_is_circle(K):
+    """is_circle as it counted vertex degrees before it became the closed
+    pseudomanifold test in dimension 1, kept here as an oracle."""
+    if K.dim != 1 or not K.is_pure:
+        return False
+    deg = {}
+    for e in K.facets:
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    return all(d == 2 for d in deg.values()) and connected_components(K) == 1
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 7), min_size=3, max_size=5, unique=True), min_size=1, max_size=2
+    ),
+    st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=2, unique=True), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_is_circle_matches_the_degree_count(cycles, extra):
+    # One or two cycles through the drawn vertices, plus a few more vertices and edges.
+    K = build_complex([(a, b) for c in cycles for a, b in zip(c, c[1:] + c[:1])] + extra)
+    assert is_circle(K) == _degree_count_is_circle(K)
+
+
+def test_is_circle_matches_the_degree_count_on_catalog_surface_links(entries):
+    verdicts = [
+        (is_circle(L), _degree_count_is_circle(L))
+        for entry in entries.values()
+        if entry.complex.dim == 2
+        for L in _distinct_links(entry.complex, [(v,) for v in entry.complex.vertices])
+    ]
+    assert len(verdicts) > 10 and all(new == old is True for new, old in verdicts)
