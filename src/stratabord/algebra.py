@@ -128,10 +128,6 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, other.ncols, entries)
 
 
-def identity_matrix(n: int) -> SparseMatrix:
-    return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
-
-
 def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int) -> None:
     """dst −= q·src for sparse vectors kept as dicts."""
     for k, w in src.items():
@@ -480,8 +476,3 @@ def homology(K: SimplicialComplex, ring: Ring = ZZ, reduced: bool = False) -> Li
         g0 = groups[0]
         groups[0] = HomologyGroup(max(g0.rank - 1, 0), g0.torsion)
     return groups
-
-
-def euler_characteristic(K: SimplicialComplex, mod2: bool = False) -> int:
-    chi = K.euler_characteristic()
-    return chi % 2 if mod2 else chi

@@ -591,7 +591,6 @@ def restratify_bordism(
 class CertificateReport:
     passed: bool
     checks: Dict[str, bool]
-    validation_note: str = ""
     heuristic: bool = False
 
 
@@ -634,4 +633,4 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
                     ok_sign = False
         checks["signs_match"] = ok_sign
     passed = all(checks.values())
-    return CertificateReport(passed, checks, rep.note, rep.heuristic or cert.Y.heuristic)
+    return CertificateReport(passed, checks, rep.heuristic or cert.Y.heuristic)

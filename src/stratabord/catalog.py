@@ -11,7 +11,7 @@ validator.  Entries are cached after that check, so repeated access is cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import algebra
 from ._rp3_data import RP3_FACETS

@@ -335,11 +335,7 @@ def e_of_g(G: SingularityClass) -> SingularityClass:
     """The E-class obtained by removing the 0-dimensional members of G."""
     if G.kind != "G":
         raise KindMismatch(f"{G.name} is not a G-class")
-
-    def pred(K: SimplicialComplex) -> ClassVerdict:
-        return G.member(K)
-
-    return SingularityClass(f"E[{G.name}]", "E", pred)
+    return SingularityClass(f"E[{G.name}]", "E", G.member)
 
 
 # ---------------------------------------------------------------------------

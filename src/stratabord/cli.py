@@ -47,17 +47,21 @@ def _read(ref: str) -> str:
         raise StrataError(f"cannot read {ref}: {exc}")
 
 
+def _stratification(name: str, k: int) -> Tuple[catalog.CatalogEntry, FilteredComplex]:
+    """Catalog entry NAME and its stratification k."""
+    entry = catalog.get(name)
+    if k < 0 or k >= len(entry.stratifications):
+        raise UnknownName(f"{name} has no stratification {k}")
+    return entry, entry.stratifications[k]
+
+
 def _load_space(ref: str) -> Tuple[FilteredComplex, str]:
     """A filtered complex from a JSON file or a catalog:NAME[:k] reference."""
     if ref.startswith("catalog:"):
         _, name, *rest = ref.split(":")
         if len(rest) > 1 or not all(r.removeprefix("-").isdecimal() for r in rest):
             raise StrataError(f"{ref!r} is not catalog:NAME or catalog:NAME:k")
-        entry = catalog.get(name)
-        k = int(rest[0]) if rest else 0
-        if k < 0 or k >= len(entry.stratifications):
-            raise UnknownName(f"{name} has no stratification {k}")
-        return entry.stratifications[k], _digest(ref)
+        return _stratification(name, int(rest[0]) if rest else 0)[1], _digest(ref)
     text = _read(ref)
     doc = jsonio.loads(text)
     if doc.get("type") == "complex":
@@ -412,11 +416,9 @@ def _cmd_catalog(args) -> int:
     if args.mode == "emit":
         if not args.name:
             raise StrataError("catalog emit needs a name")
-        entry = catalog.get(args.name)
         k = args.stratification
-        if k < 0 or k >= len(entry.stratifications):
-            raise UnknownName(f"{args.name} has no stratification {k}")
-        doc = jsonio.filtration_to_json(entry.stratifications[k])
+        entry, FX = _stratification(args.name, k)
+        doc = jsonio.filtration_to_json(FX)
         report = {
             "command": "catalog emit",
             "name": entry.name,

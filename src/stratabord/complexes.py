@@ -5,9 +5,6 @@ determined by its facets (maximal faces); the full face lattice is derived on
 demand and cached.  All values are immutable and every operation is a pure
 function.
 
-The empty complex is first class and carries a nominal dimension tag, so that
-"an empty pseudomanifold of dimension n" is representable.
-
 `link` and `star` read a cached star index (the facets through each vertex).
 They rely on the facets being maximal: `build_complex` makes them so, and
 `relabel` keeps them so because it takes an injective vertex map.
@@ -40,13 +37,11 @@ def simplex(vertices: Iterable[int]) -> Simplex:
 @dataclass(frozen=True)
 class SimplicialComplex:
     facets: FrozenSet[Simplex]
-    # Nominal dimension, only meaningful for the empty complex.
-    empty_dim: int = -1
 
     @cached_property
     def dim(self) -> int:
         if not self.facets:
-            return self.empty_dim
+            return -1
         return max(len(f) for f in self.facets) - 1
 
     @cached_property
@@ -116,9 +111,6 @@ class SimplicialComplex:
             return True
         return len({len(f) for f in self.facets}) == 1
 
-    def f_vector(self) -> List[int]:
-        return [len(self.faces_of_dim(d)) for d in range(self.dim + 1)]
-
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(self.faces_of_dim(d)) for d in range(self.dim + 1))
 
@@ -128,17 +120,13 @@ class SimplicialComplex:
         for g in gens:
             if g not in self:
                 raise SimplexNotFound(f"simplex {g} not in complex")
-        return build_complex(gens, empty_ok=True, empty_dim=-1)
+        return build_complex(gens, empty_ok=True)
 
     def relabel(self, vmap: Dict[int, int]) -> "SimplicialComplex":
-        return SimplicialComplex(
-            frozenset(simplex(vmap[v] for v in f) for f in self.facets), self.empty_dim
-        )
+        return SimplicialComplex(frozenset(simplex(vmap[v] for v in f) for f in self.facets))
 
 
-def build_complex(
-    facets: Iterable[Iterable[int]], empty_ok: bool = False, empty_dim: int = -1
-) -> SimplicialComplex:
+def build_complex(facets: Iterable[Iterable[int]], empty_ok: bool = False) -> SimplicialComplex:
     """Build a complex from facet lists, deduplicating and absorbing non-maximal faces.
 
     Candidates are taken longest first.  Those of the top length are all
@@ -149,7 +137,7 @@ def build_complex(
     if not fs:
         if not empty_ok:
             raise EmptyInput("no facets given; pass empty_ok for the empty complex")
-        return SimplicialComplex(frozenset(), empty_dim)
+        return EMPTY
     top = len(fs[0])
     maximal: List[Simplex] = []
     through: Dict[int, set] = {}
@@ -165,11 +153,7 @@ def build_complex(
     return SimplicialComplex(frozenset(maximal))
 
 
-EMPTY = SimplicialComplex(frozenset(), -1)
-
-
-def empty_complex(dim: int = -1) -> SimplicialComplex:
-    return SimplicialComplex(frozenset(), dim)
+EMPTY = SimplicialComplex(frozenset())
 
 
 def _facets_through(K: SimplicialComplex, s: Simplex) -> List[Simplex]:
@@ -199,39 +183,17 @@ def star(K: SimplicialComplex, s: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex(frozenset(_facets_through(K, simplex(s))))
 
 
-def _shift_map(K: SimplicialComplex, offset: int) -> Dict[int, int]:
-    return {v: v + offset for v in K.vertices}
-
-
 def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes; L is relabeled above K's vertices when they collide.
-
-    Use join_with_maps to recover the relabeling.
-    """
-    return join_with_maps(K, L)[0]
-
-
-def join_with_maps(K, L):
-    kmap = {v: v for v in K.vertices}
-    if set(K.vertices) & set(L.vertices):
-        offset = (max(K.vertices) + 1 if K.vertices else 0) - (
-            min(L.vertices) if L.vertices else 0
-        )
-        lmap = _shift_map(L, offset)
-    else:
-        lmap = {v: v for v in L.vertices}
-    if K.is_empty() and L.is_empty():
-        return EMPTY, kmap, lmap
+    """Join of two complexes; L is relabeled above K's vertices when they collide."""
     if K.is_empty():
-        return L.relabel(lmap), kmap, lmap
+        return L
     if L.is_empty():
-        return K, kmap, lmap
-    facets = [
-        tuple(sorted(f + tuple(lmap[v] for v in g)))
-        for f in K.facets
-        for g in L.facets
-    ]
-    return build_complex(facets), kmap, lmap
+        return K
+    offset = 0
+    if set(K.vertices) & set(L.vertices):
+        offset = max(K.vertices) + 1 - min(L.vertices)
+    facets = [tuple(sorted(f + tuple(v + offset for v in g))) for f in K.facets for g in L.facets]
+    return build_complex(facets)
 
 
 def cone(K: SimplicialComplex, apex: Optional[int] = None) -> SimplicialComplex:

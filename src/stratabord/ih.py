@@ -189,11 +189,3 @@ def intersection_homology(
         raise PerversityViolation("perversity table too short for this filtration")
     FX = ensure_full(FX)
     return algebra.homology_of_allowable_chains(FX.complex, allowable_simplices(FX, p), ring)
-
-
-def ih_torsion(FX: FilteredComplex, p: Perversity, degree: int) -> Tuple[int, ...]:
-    """Invariant factors of the integral intersection homology in one degree."""
-    groups = intersection_homology(FX, p, ZZ)
-    if degree < 0 or degree >= len(groups):
-        return ()
-    return groups[degree].torsion

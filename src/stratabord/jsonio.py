@@ -149,8 +149,6 @@ def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
     skeleta = tuple(
         K.subcomplex(_simplices(sk)) for sk in _optional_field(doc, "skeleta", list, [])
     )
-    if any(sk.facets != K.facets for sk in skeleta[max(K.dim, 0) :]):
-        raise MalformedFiltration("a skeleton at or above the top dimension is not the carrier")
     boundary = doc.get("boundary")
     B = None if boundary is None else K.subcomplex(_simplices(boundary))
     return FilteredComplex(
@@ -233,8 +231,3 @@ def loads(text: str) -> Dict[str, Any]:
 def write_file(path: str, doc: Any) -> None:
     with open(path, "w") as fh:
         fh.write(dumps(doc))
-
-
-def read_file(path: str) -> Dict[str, Any]:
-    with open(path) as fh:
-        return loads(fh.read())

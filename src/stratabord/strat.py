@@ -35,7 +35,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     collapses_to_point,
-    empty_complex,
     join,
     link,
     star,
@@ -63,6 +62,13 @@ class FilteredComplex:
     orientation: Optional[OrientationAssignment] = None
     classical: bool = True
     heuristic: bool = False
+
+    def __post_init__(self):
+        if any(
+            sk is not self.complex and sk.facets != self.complex.facets
+            for sk in self.skeleta[max(self.dim, 0) :]
+        ):
+            raise MalformedFiltration("a skeleton at or above the top dimension is not the carrier")
 
     @property
     def dim(self) -> int:
@@ -285,7 +291,7 @@ def stratum_link(FX: FilteredComplex, S: Stratum) -> FilteredComplex:
     lies in S, and that face has dimension < j, so the chain has at most j faces.
     """
     if S.regular:
-        return trivial_filtration(empty_complex(-1))
+        return trivial_filtration(EMPTY)
     tops = S.top_simplices
     if not tops:
         raise NoTopSimplex(f"stratum of dim {S.dim} has no top simplex")
@@ -294,12 +300,14 @@ def stratum_link(FX: FilteredComplex, S: Stratum) -> FilteredComplex:
 
 def require_pure(FX: FilteredComplex):
     """Raise NotValidated unless the carrier is empty or pure (clause (b))
-    and each X^j, j < n, has dimension at most j (clause (a))."""
+    and each X^j, j < n, has dimension at most j (clause (a)), and
+    MalformedFiltration unless the skeleta are nested subcomplexes."""
     if not FX.complex.is_empty() and not FX.complex.is_pure:
         raise NotValidated("carrier is not totally n-dimensional")
     for j in range(FX.dim):
         if FX.skeleton(j).dim > j:
             raise NotValidated(f"skeleton {j} has dimension {FX.skeleton(j).dim}")
+    _check_skeleta(FX)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +455,7 @@ def ball_like(K: SimplicialComplex, flag: _Flag) -> bool:
 
 def octahedral_sphere(d: int) -> SimplicialComplex:
     """The d-fold join of S⁰ with itself: a (d−1)-sphere on 2d vertices."""
-    K = empty_complex(-1)
+    K = EMPTY
     for _ in range(d):
         K = suspension(K)
     return K
@@ -620,7 +628,7 @@ def polyhedral_link_decomposition(FX: FilteredComplex, x: int) -> LinkDecomposit
         raise MalformedFiltration(f"vertex {x} not found in any stratum")
     if target.regular:
         j = FX.dim
-        core = trivial_filtration(empty_complex(-1))
+        core = trivial_filtration(EMPTY)
     else:
         j = target.dim
         core = stratum_link(FXstar, target)

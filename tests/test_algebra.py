@@ -18,10 +18,8 @@ from stratabord.algebra import (
     ZZ,
     _eliminate,
     boundary_matrix,
-    euler_characteristic,
     homology,
     homology_of_chain_complex,
-    identity_matrix,
     invariant_factors,
     kernel_basis,
     parse_ring,
@@ -400,7 +398,7 @@ def test_reduced_homology_of_point_and_sphere():
 def test_euler_characteristic_from_homology():
     for name, (facets, _t) in SPACES.items():
         K = klein_bottle() if facets is None else build_complex(facets)
-        chi_faces = euler_characteristic(K)
+        chi_faces = K.euler_characteristic()
         chi_ranks = sum((-1) ** i * g.rank for i, g in enumerate(homology(K, QQ)))
         assert chi_faces == chi_ranks, name
 

@@ -144,7 +144,7 @@ def test_bordism_roundtrip_through_files(tmp_path, capsys):
 def test_bordism_verify_rejects_incoherent_carrier(tmp_path, capsys):
     cert_path, bad_path = tmp_path / "cert.json", tmp_path / "bad.json"
     assert run(["bordism", "to-intrinsic", "catalog:Sigma-T2", "--out", str(cert_path)]) == 0
-    cert = jsonio.certificate_from_json(jsonio.read_file(str(cert_path)))
+    cert = jsonio.certificate_from_json(jsonio.loads(cert_path.read_text()))
     jsonio.write_file(str(bad_path), jsonio.certificate_to_json(flip_interior_sign(cert)))
     capsys.readouterr()
     code, out = run_capture(capsys, ["bordism", "verify", str(bad_path), "--json"])
@@ -367,23 +367,36 @@ def over_dimensioned_s2(tmp_path):
     return str(path)
 
 
-def test_over_dimensioned_skeleton_is_usage_error(over_dimensioned_s2, capsys):
-    for argv in (
-        ["links"],
-        ["classify", "--class", "witt:Q"],
-        ["classify", "--class", "ip"],
-        ["bordism", "to-intrinsic"],
-        ["ih"],
-        ["bordism", "cylinder"],
-    ):
-        assert_usage_error(argv + [over_dimensioned_s2], capsys)
-    code, out = run_capture(capsys, ["validate", over_dimensioned_s2, "--json"])
-    assert code == 1
-    assert json.loads(out)["clauses"][0] == {
-        "clause": "a",
-        "passed": False,
-        "detail": "skeleton 0 has dimension 1",
+@pytest.fixture()
+def unnested_s2(tmp_path):
+    """∂Δ³ with skeleta [[3], [01]]: X⁰ is not contained in X¹."""
+    path = tmp_path / "unnested.json"
+    doc = {
+        "type": "filtered_complex",
+        "facets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+        "skeleta": [[[3]], [[0, 1]]],
     }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_over_dimensioned_skeleton_is_usage_error(over_dimensioned_s2, unnested_s2, capsys):
+    for path, detail in (
+        (over_dimensioned_s2, "skeleton 0 has dimension 1"),
+        (unnested_s2, "skeleton 0 not contained in skeleton 1"),
+    ):
+        for argv in (
+            ["links"],
+            ["classify", "--class", "witt:Q"],
+            ["classify", "--class", "ip"],
+            ["bordism", "to-intrinsic"],
+            ["ih"],
+            ["bordism", "cylinder"],
+        ):
+            assert_usage_error(argv + [path], capsys)
+        code, out = run_capture(capsys, ["validate", path, "--json"])
+        assert code == 1
+        assert json.loads(out)["clauses"][0] == {"clause": "a", "passed": False, "detail": detail}
 
 
 def test_bordism_of_an_invalid_stratification_is_usage_error(tmp_path, capsys):

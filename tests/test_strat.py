@@ -23,7 +23,6 @@ from stratabord.complexes import (
     build_complex,
     collapses_to_point,
     cone,
-    empty_complex,
     join,
     link,
     product,
@@ -713,16 +712,14 @@ def test_shapes_tell_apart_complexes_on_one_vertex_set(pair):
         assert strat._shape(K1) != strat._shape(K2)
 
 
-def test_empty_complexes_of_any_nominal_dimension_share_one_answer():
-    empties = [empty_complex(d) for d in (-1, 0, 2, 5)]
-    assert len({strat._shape(E) for E in empties}) == 1
-    for E in empties:
-        assert _raw_answers(E) == _raw_answers(empties[0])
-        answers = []
-        for recognise in RECOGNISERS:
-            flag = _Flag()
-            answers.append((recognise(E, flag), flag.heuristic))
-        assert answers == _raw_answers(E)
+def test_the_empty_complex_gets_the_raw_answers():
+    E = build_complex([], empty_ok=True)
+    assert E == SimplicialComplex(frozenset()) == strat.EMPTY and E.dim == -1
+    answers = []
+    for recognise in RECOGNISERS:
+        flag = _Flag()
+        answers.append((recognise(E, flag), flag.heuristic))
+    assert answers == _raw_answers(E)
 
 
 def _klein_bottle(n=4):
@@ -807,6 +804,17 @@ def test_strata_are_computed_once_per_filtration(entries):
     for _ in range(2):
         with pytest.raises(MalformedFiltration):
             strata(bad)
+
+
+def test_a_top_skeleton_that_is_not_the_carrier_is_malformed():
+    S2 = catalog.get("S2").complex
+    triangle = S2.subcomplex([min(S2.facets)])
+    for skeleta in ((strat.EMPTY, strat.EMPTY, triangle), (strat.EMPTY, strat.EMPTY, S2, triangle)):
+        with pytest.raises(MalformedFiltration, match="top dimension is not the carrier"):
+            FilteredComplex(S2, skeleta)
+    # An equal copy of the carrier is the carrier.
+    FX = FilteredComplex(S2, (strat.EMPTY, strat.EMPTY, build_complex(S2.facets)))
+    assert validate_stratified_pseudomanifold(FX).passed
 
 
 def test_a_stratum_without_a_top_simplex_has_no_link():
