@@ -137,12 +137,11 @@ def _signed_area2(p, q, r) -> int:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
-def verify_corner_unfolding(scheme=None) -> bool:
+def verify_corner_unfolding() -> bool:
     """The stored unfolding is a simplicial homeomorphism onto a flat strip."""
-    scheme = scheme or CORNER_UNFOLDING
-    dom, strip = scheme["domain_coords"], scheme["strip_coords"]
+    dom, strip = CORNER_UNFOLDING["domain_coords"], CORNER_UNFOLDING["strip_coords"]
     total_dom = total_strip = 0
-    for t in scheme["domain_facets"]:
+    for t in CORNER_UNFOLDING["domain_facets"]:
         a_dom = _signed_area2(*(dom[v] for v in t))
         a_strip = _signed_area2(*(strip[v] for v in t))
         if a_dom == 0 or a_strip == 0:
@@ -154,7 +153,7 @@ def verify_corner_unfolding(scheme=None) -> bool:
         return False
     # Interior edge coherence: every interior edge lies in exactly two
     # triangles on opposite sides, in both embeddings.
-    K = build_complex(scheme["domain_facets"])
+    K = build_complex(CORNER_UNFOLDING["domain_facets"])
     for r, fs in K.ridges.items():
         if len(fs) != 2:
             continue
@@ -172,18 +171,20 @@ def verify_corner_unfolding(scheme=None) -> bool:
 # Half-intrinsic suspension
 
 
-def half_intrinsic_suspension(FX: FilteredComplex, closed: bool = True) -> FilteredComplex:
+def _require_closed(FX: FilteredComplex):
+    """Raise NotClosed when FX designates a boundary or has free ridges."""
+    if not (designated_boundary(FX).is_empty() and boundary_subcomplex(FX.complex).is_empty()):
+        raise NotClosed("input must be closed: no boundary and no free ridges")
+
+
+def half_intrinsic_suspension(FX: FilteredComplex) -> FilteredComplex:
     """Suspension of FX stratified finely on the north side, intrinsically on
     the south side.  The north pole is always a 0-stratum; the south pole
     survives only when the intrinsic stratification of the cone keeps it."""
     K = FX.complex
-    if closed:
-        if FX.boundary is not None and not FX.boundary.is_empty():
-            raise NotClosed("input has a designated boundary")
-        if not boundary_subcomplex(K).is_empty():
-            raise NotClosed("input has free ridges")
+    _require_closed(FX)
     north, south = suspension_poles(K)
-    SK = suspension(K, north, south)
+    SK = suspension(K)
     flag = _Flag()
     gens: Dict[int, List[Simplex]] = defaultdict(list)
     gens[0].append((north,))
@@ -316,10 +317,7 @@ def bordism_to_intrinsic(
     n = FX.dim
     if not FX.classical:
         raise NotClassical("bordism construction needs a classical input")
-    if (FX.boundary is not None and not FX.boundary.is_empty()) or not (
-        boundary_subcomplex(K).is_empty()
-    ):
-        raise NotClosed("bordism source must be closed")
+    _require_closed(FX)
     oa = orientation if orientation is not None else FX.orientation
     if oa is None:
         raise IncompatibleOrientations("bordism source carries no orientation")

@@ -119,18 +119,10 @@ _MANIFOLD_CLASSES = {
 }
 
 
-def _suspension_table(base: HomologyTable, n: int) -> HomologyTable:
+def _suspension_table(base: HomologyTable) -> HomologyTable:
     """H_*(SX) from H_*(X): degree 0 is ℤ, degree i ≥ 1 is H̃_{i−1}(X)."""
-    table: List[Tuple[int, Tuple[int, ...]]] = [(1, ())]
-    for i in range(1, n + 2):
-        if i == 1:
-            rank, tors = base[0]
-            table.append((rank - 1, tors))
-        elif i - 1 < len(base):
-            table.append(base[i - 1])
-        else:
-            table.append((0, ()))
-    return tuple(table)
+    (rank, tors), *rest = base
+    return ((1, ()), (rank - 1, tors), *rest)
 
 
 _BASE_SPECS: Dict[str, Tuple[Callable[[], SimplicialComplex], HomologyTable, bool, str]] = {
@@ -212,7 +204,7 @@ def _build(name: str) -> CatalogEntry:
         make, base_table, _orient, base_desc = _BASE_SPECS[base]
         B = make()
         K = suspension(B)
-        table = _suspension_table(base_table, B.dim)
+        table = _suspension_table(base_table)
         orientable = is_orientable(K)
         strats = _suspension_strats(B)
         expected = dict(_SUSPENSION_CLASSES[name])

@@ -221,49 +221,35 @@ def _all_suspensions_predicate(K: SimplicialComplex) -> ClassVerdict:
     )
 
 
+# Name → predicate; a condition over a field maps instead to a function from
+# the field (ℚ by default) to its predicate.
+_BUILTIN = {
+    "witt": _witt_predicate,
+    "ip": _ip_predicate,
+    "euler2": _euler2_predicate,
+    "locally_orientable": _orientable_predicate,
+    "locally_orientable_witt": _orientable_witt_predicate,
+    "s_duality": _s_duality_predicate,
+    "lsf_partial": _lsf_partial_predicate,
+    "all_pseudomanifolds": _all_predicate,
+    "all_suspensions": _all_suspensions_predicate,
+}
+_OVER_A_FIELD = ("witt", "locally_orientable_witt")
+BUILTIN_NAMES = tuple(_BUILTIN)
+
+
 def builtin(name: str, field: Optional[Ring] = None) -> SingularityClass:
     """A named built-in E-class of allowed links."""
-    if name == "witt":
+    if name not in _BUILTIN:
+        raise UnknownName(f"no built-in class named {name!r}")
+    if name in _OVER_A_FIELD:
         ring = field if field is not None else QQ
         if ring.kind not in ("Q", "Fp"):
             raise UnsupportedCoefficients("witt condition needs a field")
-        return SingularityClass(f"witt({ring})", "E", _witt_predicate(ring))
-    if name == "ip":
-        if field is not None and field.kind != "Z":
-            raise UnsupportedCoefficients("ip condition is integral")
-        return SingularityClass("ip", "E", _ip_predicate)
-    if name == "euler2":
-        return SingularityClass("euler2", "E", _euler2_predicate)
-    if name == "locally_orientable":
-        return SingularityClass("locally_orientable", "E", _orientable_predicate)
-    if name == "locally_orientable_witt":
-        ring = field if field is not None else QQ
-        if ring.kind not in ("Q", "Fp"):
-            raise UnsupportedCoefficients("witt condition needs a field")
-        return SingularityClass(
-            f"locally_orientable_witt({ring})", "E", _orientable_witt_predicate(ring)
-        )
-    if name == "s_duality":
-        return SingularityClass("s_duality", "E", _s_duality_predicate)
-    if name == "lsf_partial":
-        return SingularityClass("lsf_partial", "E", _lsf_partial_predicate)
-    if name == "all_pseudomanifolds":
-        return SingularityClass("all_pseudomanifolds", "E", _all_predicate)
-    if name == "all_suspensions":
-        return SingularityClass("all_suspensions", "E", _all_suspensions_predicate)
-    raise UnknownName(f"no built-in class named {name!r}")
-
-
-BUILTIN_NAMES = (
-    "witt",
-    "ip",
-    "euler2",
-    "locally_orientable",
-    "locally_orientable_witt",
-    "s_duality",
-    "lsf_partial",
-    "all_pseudomanifolds",
-)
+        return SingularityClass(f"{name}({ring})", "E", _BUILTIN[name](ring))
+    if name == "ip" and field is not None and field.kind != "Z":
+        raise UnsupportedCoefficients("ip condition is integral")
+    return SingularityClass(name, "E", _BUILTIN[name])
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stratify(args) -> int:
     FX, digest = _load_space(args.space)
+    require_pure(FX)
     FXstar = intrinsic_stratification(FX.complex)
     doc = jsonio.filtration_to_json(FXstar)
     census = [

@@ -207,17 +207,10 @@ def cone(K: SimplicialComplex, apex: Optional[int] = None) -> SimplicialComplex:
     return build_complex([f + (apex,) for f in K.facets])
 
 
-def suspension(
-    K: SimplicialComplex, north: Optional[int] = None, south: Optional[int] = None
-) -> SimplicialComplex:
-    """K * {north, south} with no edge between the two poles.  suspension(∅) = S⁰."""
-    top = (max(K.vertices) + 1) if K.vertices else 0
-    if north is None:
-        north = top
-    if south is None:
-        south = max(top, north + 1)
-    if north == south or north in K.vertices or south in K.vertices:
-        raise ValueError("pole vertices must be fresh and distinct")
+def suspension(K: SimplicialComplex) -> SimplicialComplex:
+    """K * {north, south} on the poles `suspension_poles(K)`, with no edge
+    between them.  suspension(∅) = S⁰."""
+    north, south = suspension_poles(K)
     if K.is_empty():
         return build_complex([[north], [south]])
     return build_complex(
@@ -226,7 +219,7 @@ def suspension(
 
 
 def suspension_poles(K: SimplicialComplex) -> Tuple[int, int]:
-    """The pole ids suspension(K) uses by default."""
+    """The pole ids suspension(K) uses: the two least fresh vertices."""
     top = (max(K.vertices) + 1) if K.vertices else 0
     return top, top + 1
 

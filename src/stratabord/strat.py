@@ -106,7 +106,9 @@ class FilteredComplex:
         facet of X^j through it.  A malformed filtration raises on every
         access: an exception is not cached.
         """
-        _check_skeleta(self)
+        fault = _nesting_fault(self)
+        if fault:
+            raise MalformedFiltration(fault)
         depth = self.depth
         vdepth = {v: depth[(v,)] for v in self.complex.vertices}
         anchor: Dict[Simplex, Simplex] = {}
@@ -213,16 +215,31 @@ class Stratum:
         return sorted(s for s in self.simplices if len(s) - 1 == self.dim)
 
 
-def _check_skeleta(FX: FilteredComplex):
-    n = FX.dim
+def _nesting_fault(FX: FilteredComplex) -> str:
+    """The first break in X^0 ⊆ X^1 ⊆ … ⊆ X^n, or "".  A skeleton that is not
+    a subcomplex of the carrier raises MalformedFiltration."""
     prev_faces: FrozenSet[Simplex] = frozenset()
-    for j in range(n + 1):
+    for j in range(FX.dim + 1):
         sk = FX.skeleton(j)
         if not sk.faces <= FX.complex.faces:
             raise MalformedFiltration(f"skeleton {j} is not a subcomplex of the carrier")
         if not prev_faces <= sk.faces:
-            raise MalformedFiltration(f"skeleton {j-1} not contained in skeleton {j}")
+            return f"skeleton {j-1} not contained in skeleton {j}"
         prev_faces = sk.faces
+    return ""
+
+
+def _skeleta_fault(FX: FilteredComplex) -> str:
+    """Clause (a): an X^j, j < n, of dimension above j, else the nesting fault."""
+    for j in range(FX.dim):
+        if FX.skeleton(j).dim > j:
+            return f"skeleton {j} has dimension {FX.skeleton(j).dim}"
+    return _nesting_fault(FX)
+
+
+def _purity_fault(K: SimplicialComplex) -> str:
+    """Clause (b): "" when K is empty or pure."""
+    return "" if K.is_pure else "carrier is not pure"
 
 
 def components(nodes: Iterable, edges: Iterable[Tuple]) -> List[list]:
@@ -299,15 +316,10 @@ def stratum_link(FX: FilteredComplex, S: Stratum) -> FilteredComplex:
 
 
 def require_pure(FX: FilteredComplex):
-    """Raise NotValidated unless the carrier is empty or pure (clause (b))
-    and each X^j, j < n, has dimension at most j (clause (a)), and
-    MalformedFiltration unless the skeleta are nested subcomplexes."""
-    if not FX.complex.is_empty() and not FX.complex.is_pure:
-        raise NotValidated("carrier is not totally n-dimensional")
-    for j in range(FX.dim):
-        if FX.skeleton(j).dim > j:
-            raise NotValidated(f"skeleton {j} has dimension {FX.skeleton(j).dim}")
-    _check_skeleta(FX)
+    """Raise NotValidated on the first fault of clause (b), then of (a)."""
+    fault = _purity_fault(FX.complex) or _skeleta_fault(FX)
+    if fault:
+        raise NotValidated(fault)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +373,19 @@ def connected_components(K: SimplicialComplex) -> int:
     return len(components(K.vertices, ((f[0], v) for f in K.facets for v in f[1:])))
 
 
+def _pseudomanifold_fault(K: SimplicialComplex, closed: bool = True) -> str:
+    """Why K is not a pseudomanifold, or "": it must be pure with each ridge
+    in at most two facets, and in exactly two when closed."""
+    fault = _purity_fault(K)
+    if not fault:
+        for r, fs in K.ridges.items():
+            if len(fs) > 2 or (closed and len(fs) != 2):
+                return f"ridge {r} lies in {len(fs)} facets"
+    return fault
+
+
 def _is_closed_pseudo(K: SimplicialComplex) -> bool:
-    return K.is_pure and all(len(fs) == 2 for fs in K.ridges.values())
+    return not _pseudomanifold_fault(K)
 
 
 def is_circle(K: SimplicialComplex) -> bool:
@@ -531,13 +554,9 @@ def germ_partition(
 
 def check_pseudomanifold(K: SimplicialComplex, closed: bool = True):
     """Clauses (a)–(d) for the trivial filtration; raises NotPseudomanifold."""
-    if K.is_empty():
-        return
-    if not K.is_pure:
-        raise NotPseudomanifold("complex is not pure")
-    for r, fs in K.ridges.items():
-        if len(fs) > 2 or (closed and len(fs) != 2):
-            raise NotPseudomanifold(f"ridge {r} lies in {len(fs)} facets")
+    fault = _pseudomanifold_fault(K, closed)
+    if fault:
+        raise NotPseudomanifold(fault)
 
 
 def intrinsic_stratification(K: SimplicialComplex) -> FilteredComplex:
@@ -731,27 +750,12 @@ def validate_stratified_pseudomanifold(
         clauses = [ClauseResult(c, True, "empty complex") for c in "abcdefg"]
         return ValidationReport(mode, True, tuple(clauses), False, "empty pseudomanifold")
 
-    # (a) nesting
-    ok_a, det_a = True, ""
-    prev_faces: FrozenSet[Simplex] = frozenset()
-    for j in range(n + 1):
-        sk = FX.skeleton(j)
-        if not sk.faces <= K.faces:
-            raise MalformedFiltration(f"skeleton {j} is not a subcomplex of the carrier")
-        if not prev_faces <= sk.faces:
-            ok_a, det_a = False, f"skeleton {j-1} not contained in skeleton {j}"
-            break
-        if j < n and sk.dim > j:
-            ok_a, det_a = False, f"skeleton {j} has dimension {sk.dim}"
-            break
-        prev_faces = sk.faces
-    clauses.append(ClauseResult("a", ok_a, det_a))
+    # (a) dimensions and nesting of the skeleta, (b) purity
+    det_a, det_b = _skeleta_fault(FX), _purity_fault(K)
+    clauses.append(ClauseResult("a", not det_a, det_a))
+    clauses.append(ClauseResult("b", not det_b, det_b))
 
-    # (b) totally n-dimensional
-    ok_b = K.is_pure
-    clauses.append(ClauseResult("b", ok_b, "" if ok_b else "carrier is not pure"))
-
-    if not (ok_a and ok_b):
+    if det_a or det_b:
         return ValidationReport(mode, False, tuple(clauses), flag.heuristic)
 
     # (c) density of the regular part: by (b) every face lies in an n-face,

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import flip_interior_sign
 from stratabord import jsonio
+from stratabord.classes import BUILTIN_NAMES
 from stratabord.cli import parse_class_spec, run
 
 
@@ -392,6 +395,7 @@ def test_over_dimensioned_skeleton_is_usage_error(over_dimensioned_s2, unnested_
             ["bordism", "to-intrinsic"],
             ["ih"],
             ["bordism", "cylinder"],
+            ["stratify"],
         ):
             assert_usage_error(argv + [path], capsys)
         code, out = run_capture(capsys, ["validate", path, "--json"])
@@ -443,7 +447,30 @@ def test_cylinder_of_a_non_pseudomanifold_is_usage_error(doc, failing, tmp_path,
 def test_links_of_an_impure_complex_is_usage_error(tmp_path, capsys):
     path = tmp_path / "impure.json"
     path.write_text(json.dumps({"type": "complex", "facets": [[0, 1, 2], [3, 4]]}))
-    assert_usage_error(["links", "--all", str(path)], capsys)
+    for argv in (
+        ["links", "--all"],
+        ["ih"],
+        ["stratify"],
+        ["bordism", "cylinder"],
+        ["classify", "--class", "witt:Q", "--via", "stratified"],
+        ["classify", "--class", "witt:Q", "--via", "polyhedral"],
+        ["classify", "--class", "siegel:witt:Q"],
+    ):
+        capsys.readouterr()
+        assert run(argv + [str(path)]) == 2, argv
+        assert capsys.readouterr().err == "error: carrier is not pure\n", argv
+
+
+def test_readme_class_specifiers_reach_every_builtin():
+    """The README's "Class specifiers" paragraph parses, and names every built-in class."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Class specifiers:", 1)[1].split("\n\n", 1)[0]
+    specs = re.findall(r"`([^`]+)`", paragraph)
+    reached = set()
+    for spec in specs:
+        E, _siegel = parse_class_spec(spec.replace("<spec>", specs[0]))
+        reached.add(E.name.split("(")[0])
+    assert reached >= set(BUILTIN_NAMES), sorted(set(BUILTIN_NAMES) - reached)
 
 
 def test_bordism_between_two_stratifications(capsys):
