@@ -340,8 +340,8 @@ def filtered_complexes(draw):
 def _union_find_strata(FX):
     """The strata by a union-find over every open face, the routine that
     the minimal open faces replaced, kept here as an oracle."""
-    if strat._nesting_fault(FX):
-        raise MalformedFiltration(strat._nesting_fault(FX))
+    if fault := strat._nesting_fault(FX):
+        raise MalformedFiltration(fault)
     out = []
     for j in range(FX.dim + 1):
         opens = FX.skeleton(j).faces - FX.skeleton(j - 1).faces
