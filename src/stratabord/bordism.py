@@ -302,9 +302,7 @@ def _ends(K: SimplicialComplex, vmap, top: int, plus, minus):
     return pieces, {"plus": collar(top, top - 1), "minus": collar(0, 1)}
 
 
-def bordism_to_intrinsic(
-    FX: FilteredComplex, orientation: Optional[OrientationAssignment] = None
-) -> BordismCertificate:
+def bordism_to_intrinsic(FX: FilteredComplex) -> BordismCertificate:
     """Oriented stratified bordism from FX to the intrinsic stratification X*.
 
     The carrier is the staircase cylinder K × path; skeleta follow the given
@@ -318,15 +316,14 @@ def bordism_to_intrinsic(
     if not FX.classical:
         raise NotClassical("bordism construction needs a classical input")
     _require_closed(FX)
-    oa = orientation if orientation is not None else FX.orientation
-    if oa is None:
+    if FX.orientation is None:
         raise IncompatibleOrientations("bordism source carries no orientation")
     FXstar = intrinsic_stratification(K)
-    if not verify_orientation(K, oa, skip_ridges=FXstar.skeleton(n - 1).faces):
+    if not verify_orientation(K, FX.orientation, skip_ridges=FXstar.skeleton(n - 1).faces):
         raise NotClassical(
             "orientation does not extend over the intrinsic regular part"
         )
-    FXstar = dataclasses.replace(FXstar, orientation=oa)
+    FXstar = dataclasses.replace(FXstar, orientation=FX.orientation)
     N = n + 1
 
     def depth(xs: Simplex, ts: set) -> int:
@@ -338,10 +335,9 @@ def bordism_to_intrinsic(
         )
 
     FY, vmap = _product(
-        K, _PATH3, depth, (), oa, FX.classical, FX.heuristic or FXstar.heuristic
+        K, _PATH3, depth, (), FX.orientation, FX.classical, FX.heuristic or FXstar.heuristic
     )
-    FXo = dataclasses.replace(FX, orientation=oa)
-    pieces, collars = _ends(K, vmap, 2, FXo, FXstar)
+    pieces, collars = _ends(K, vmap, 2, FX, FXstar)
     return BordismCertificate(FY, tuple(pieces), collars, "bordism_to_intrinsic")
 
 
@@ -414,13 +410,12 @@ def glue(
     Y1: BordismCertificate,
     Y2: BordismCertificate,
     along: Tuple[str, str],
-    iso: Optional[LabeledIsomorphism] = None,
 ) -> BordismCertificate:
     """Pushout of the two carriers along matched boundary pieces.
 
-    The designated pieces must carry opposite signs and admit (or be given) a
-    stratified isomorphism; collars must be certified on both sides so the
-    seam is bicollared.
+    The designated pieces must carry opposite signs and admit a stratified
+    isomorphism; collars must be certified on both sides so the seam is
+    bicollared.
     """
     l1, l2 = along
     p1, p2 = Y1.piece(l1), Y2.piece(l2)
@@ -428,13 +423,12 @@ def glue(
         raise SignClash(f"pieces {l1} and {l2} both carry sign {p1.sign:+d}")
     if l1 not in Y1.collars or l2 not in Y2.collars:
         raise CollarMissing("both glued pieces need collar certificates")
+    if p1.space.same_filtration(p2.space):
+        iso = LabeledIsomorphism({v: v for v in p1.space.complex.vertices})
+    else:
+        iso = stratified_isomorphism(p1.space, p2.space)
     if iso is None:
-        if p1.space.same_filtration(p2.space):
-            iso = LabeledIsomorphism({v: v for v in p1.space.complex.vertices})
-        else:
-            iso = stratified_isomorphism(p1.space, p2.space)
-        if iso is None:
-            raise NoIsomorphism("no stratified isomorphism between the glued pieces")
+        raise NoIsomorphism("no stratified isomorphism between the glued pieces")
     # Relabel Y2: seam vertices land on their Y1 partners, the rest move above
     # the Y1 vertex range.
     relabel = {p2.iso.vertex_map[w]: p1.iso.vertex_map[v] for v, w in iso.vertex_map.items()}
@@ -447,7 +441,7 @@ def glue(
         return tuple(sorted(relabel[v] for v in s))
 
     facets = list(Y1.Y.complex.facets) + [map2(f) for f in Y2.Y.complex.facets]
-    Gc = build_complex(facets, empty_ok=True)
+    Gc = build_complex(facets)
     gens = {
         j: list(Y1.Y.skeleton(j).faces) + [map2(f) for f in Y2.Y.skeleton(j).faces]
         for j in range(Gc.dim)

@@ -11,7 +11,7 @@ validator.  Entries are cached after that check, so repeated access is cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from . import algebra
 from ._rp3_data import RP3_FACETS
@@ -201,7 +201,7 @@ def _build(name: str) -> CatalogEntry:
         expected = dict(_MANIFOLD_CLASSES)
     elif name in _SUSPENSION_CLASSES:
         base = name[len("Sigma-") :]
-        make, base_table, _orient, base_desc = _BASE_SPECS[base]
+        make, base_table, _, base_desc = _BASE_SPECS[base]
         B = make()
         K = suspension(B)
         table = _suspension_table(base_table)
@@ -261,7 +261,3 @@ def get(name: str) -> CatalogEntry:
 
 def names() -> Tuple[str, ...]:
     return _NAMES
-
-
-def entries() -> List[CatalogEntry]:
-    return [get(name) for name in _NAMES]

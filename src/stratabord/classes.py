@@ -193,15 +193,6 @@ def _s_duality_predicate(K: SimplicialComplex) -> ClassVerdict:
     return _yes("duality conditions hold", heur)
 
 
-def _lsf_partial_predicate(K: SimplicialComplex) -> ClassVerdict:
-    # Necessary conditions only: the Bockstein clause on odd-dimensional
-    # members is not checked (no Steenrod-square machinery here).
-    d = K.dim
-    if d % 2 == 1:
-        return _yes("odd dimension; partial test imposes no condition")
-    return _witt_predicate(algebra.GF(2))(K)
-
-
 def _all_predicate(K: SimplicialComplex) -> ClassVerdict:
     return _yes("every pseudomanifold link allowed")
 
@@ -211,7 +202,7 @@ def _all_suspensions_predicate(K: SimplicialComplex) -> ClassVerdict:
     flag = _Flag()
     if sphere_like(K, flag):
         return _yes("sphere, hence a suspension", flag.heuristic)
-    j, core = literal_desuspension(K)
+    j = literal_desuspension(K)[0]
     if j >= 1:
         return _yes(f"literal {j}-fold suspension", flag.heuristic)
     return _no(
@@ -230,7 +221,9 @@ _BUILTIN = {
     "locally_orientable": _orientable_predicate,
     "locally_orientable_witt": _orientable_witt_predicate,
     "s_duality": _s_duality_predicate,
-    "lsf_partial": _lsf_partial_predicate,
+    # Necessary conditions only (Witt over Z/2): the Bockstein clause on
+    # odd-dimensional members is not checked (no Steenrod-square machinery).
+    "lsf_partial": _witt_predicate(algebra.GF(2)),
     "all_pseudomanifolds": _all_predicate,
     "all_suspensions": _all_suspensions_predicate,
 }
@@ -247,6 +240,8 @@ def builtin(name: str, field: Optional[Ring] = None) -> SingularityClass:
         if ring.kind not in ("Q", "Fp"):
             raise UnsupportedCoefficients("witt condition needs a field")
         return SingularityClass(f"{name}({ring})", "E", _BUILTIN[name](ring))
+    if field is not None and name != "ip":
+        raise UnsupportedCoefficients(f"{name} condition takes no coefficients")
     if name == "ip" and field is not None and field.kind != "Z":
         raise UnsupportedCoefficients("ip condition is integral")
     return SingularityClass(name, "E", _BUILTIN[name])
@@ -385,7 +380,7 @@ def _interior_singular_links(K: SimplicialComplex, B: SimplicialComplex, flag: _
 
 
 def f_membership(
-    K, E: SingularityClass, via: str = "stratified"
+    K: SimplicialComplex, E: SingularityClass, via: str = "stratified"
 ) -> ClassVerdict:
     """Membership in F_E for a space with boundary: all polyhedral links of
     interior points must be allowed.
@@ -395,8 +390,6 @@ def f_membership(
     an interior point of every simplex off the boundary; `both` requires the
     two verdicts to agree.
     """
-    if isinstance(K, FilteredComplex):
-        K = K.complex
     if K.is_empty():
         return _yes("empty space")
     check_pseudomanifold(K, closed=False)

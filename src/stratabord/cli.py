@@ -83,7 +83,7 @@ def _emit(report: Dict[str, Any], args, lines) -> None:
 
 
 def _maybe_write(args, doc) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         jsonio.write_file(args.out, doc)
 
 
@@ -375,15 +375,13 @@ def _cmd_bordism(args) -> int:
         FXB = dataclasses.replace(FX, boundary=bordism.designated_boundary(FX))
         _require_valid(FXB, args.space, "with-boundary")
         cert = bordism.cylinder(FX)
-    elif args.mode == "between":
+    else:  # between
         if not args.other:
             raise StrataError("bordism between needs a second space")
         FX2, _d2 = _load_space(args.other)
         _require_valid(FX, args.space)
         _require_valid(FX2, args.other)
         cert = bordism.bordism_between_stratifications(FX, FX2)
-    else:
-        raise StrataError(f"unknown bordism mode {args.mode!r}")
     report, lines = _cert_report(cert, args, f"bordism {args.mode}")
     _maybe_write(args, jsonio.certificate_to_json(cert))
     _emit(report, args, lines)
@@ -414,31 +412,29 @@ def _cmd_catalog(args) -> int:
         report = {"command": "catalog list", "names": list(catalog.names())}
         _emit(report, args, list(catalog.names()))
         return 0
-    if args.mode == "emit":
-        if not args.name:
-            raise StrataError("catalog emit needs a name")
-        k = args.stratification
-        entry, FX = _stratification(args.name, k)
-        doc = jsonio.filtration_to_json(FX)
-        report = {
-            "command": "catalog emit",
-            "name": entry.name,
-            "stratification": k,
-            "euler": entry.euler,
-            "orientable": entry.orientable,
-            "homology": [
-                {"degree": i, "rank": r, "torsion": list(t)}
-                for i, (r, t) in enumerate(entry.homology)
-            ],
-            "filtration": doc,
-        }
-        _maybe_write(args, doc)
-        if not getattr(args, "out", None) and not args.json:
-            sys.stdout.write(jsonio.dumps(doc))
-        else:
-            _emit(report, args, [f"{entry.name}: {entry.description}"])
-        return 0
-    raise StrataError(f"unknown catalog mode {args.mode!r}")
+    if not args.name:
+        raise StrataError("catalog emit needs a name")
+    k = args.stratification
+    entry, FX = _stratification(args.name, k)
+    doc = jsonio.filtration_to_json(FX)
+    report = {
+        "command": "catalog emit",
+        "name": entry.name,
+        "stratification": k,
+        "euler": entry.euler,
+        "orientable": entry.orientable,
+        "homology": [
+            {"degree": i, "rank": r, "torsion": list(t)}
+            for i, (r, t) in enumerate(entry.homology)
+        ],
+        "filtration": doc,
+    }
+    _maybe_write(args, doc)
+    if not args.out and not args.json:
+        sys.stdout.write(jsonio.dumps(doc))
+    else:
+        _emit(report, args, [f"{entry.name}: {entry.description}"])
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs", type=int, default=1, help="worker count (results independent of N)"
     )
-    common.add_argument("--out", help="write the primary JSON artifact to this file")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", help="write the primary JSON artifact to this file")
 
     top = argparse.ArgumentParser(
         prog="stratabord",
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-boundary", action="store_true")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("stratify", parents=[common])
+    p = sub.add_parser("stratify", parents=[writes])
     p.add_argument("space")
     p.set_defaults(func=_cmd_stratify)
 
@@ -495,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("bordism", parents=[common])
+    p = sub.add_parser("bordism", parents=[writes])
     p.add_argument(
         "mode", choices=("to-intrinsic", "between", "cylinder", "verify")
     )
@@ -503,13 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("other", nargs="?")
     p.set_defaults(func=_cmd_bordism)
 
-    p = sub.add_parser("glue", parents=[common])
+    p = sub.add_parser("glue", parents=[writes])
     p.add_argument("cert1")
     p.add_argument("cert2")
     p.add_argument("--along", required=True)
     p.set_defaults(func=_cmd_glue)
 
-    p = sub.add_parser("catalog", parents=[common])
+    p = sub.add_parser("catalog", parents=[writes])
     p.add_argument("mode", choices=("list", "emit"))
     p.add_argument("name", nargs="?")
     p.add_argument("--stratification", type=int, default=0)

@@ -120,23 +120,22 @@ class SimplicialComplex:
         for g in gens:
             if g not in self:
                 raise SimplexNotFound(f"simplex {g} not in complex")
-        return build_complex(gens, empty_ok=True)
+        return build_complex(gens)
 
     def relabel(self, vmap: Dict[int, int]) -> "SimplicialComplex":
         return SimplicialComplex(frozenset(simplex(vmap[v] for v in f) for f in self.facets))
 
 
-def build_complex(facets: Iterable[Iterable[int]], empty_ok: bool = False) -> SimplicialComplex:
+def build_complex(facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Build a complex from facet lists, deduplicating and absorbing non-maximal faces.
 
-    Candidates are taken longest first.  Those of the top length are all
-    maximal; a shorter one is absorbed when the kept facets through each of
-    its vertices (a vertex → facet index) have a common member.
+    No facets give EMPTY.  Candidates are taken longest first.  Those of the
+    top length are all maximal; a shorter one is absorbed when the kept
+    facets through each of its vertices (a vertex → facet index) have a
+    common member.
     """
     fs = sorted({simplex(f) for f in facets}, key=len, reverse=True)
     if not fs:
-        if not empty_ok:
-            raise EmptyInput("no facets given; pass empty_ok for the empty complex")
         return EMPTY
     top = len(fs[0])
     maximal: List[Simplex] = []
@@ -196,14 +195,11 @@ def join(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     return build_complex(facets)
 
 
-def cone(K: SimplicialComplex, apex: Optional[int] = None) -> SimplicialComplex:
-    """K * {apex}.  cone(∅) is a single point (the cone vertex)."""
-    if apex is None:
-        apex = (max(K.vertices) + 1) if K.vertices else 0
+def cone(K: SimplicialComplex) -> SimplicialComplex:
+    """K * {apex} on a fresh apex.  cone(∅) is a single point (the cone vertex)."""
+    apex = (max(K.vertices) + 1) if K.vertices else 0
     if K.is_empty():
         return build_complex([[apex]])
-    if apex in K.vertices:
-        raise ValueError("apex collides with an existing vertex")
     return build_complex([f + (apex,) for f in K.facets])
 
 
@@ -224,12 +220,6 @@ def suspension_poles(K: SimplicialComplex) -> Tuple[int, int]:
     return top, top + 1
 
 
-def product_vertex_map(K: SimplicialComplex, L: SimplicialComplex) -> Dict[Tuple[int, int], int]:
-    """Lexicographic numbering of the vertex pairs of a product."""
-    pairs = [(u, v) for u in K.vertices for v in L.vertices]
-    return {p: i for i, p in enumerate(pairs)}
-
-
 def product(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
     """Staircase triangulation of |K|×|L| on the lexicographically ordered vertex pairs."""
     return product_with_map(K, L)[0]
@@ -238,7 +228,8 @@ def product(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
 def product_with_map(K, L):
     if K.is_empty() or L.is_empty():
         raise EmptyInput("product factors must be non-empty")
-    vmap = product_vertex_map(K, L)
+    # Lexicographic numbering of the vertex pairs.
+    vmap = {p: i for i, p in enumerate(itertools.product(K.vertices, L.vertices))}
     facets = []
     for f in K.facets:
         p = len(f) - 1

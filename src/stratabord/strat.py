@@ -193,11 +193,9 @@ def filtered_by_depth(
 
 
 def trivial_filtration(
-    K: SimplicialComplex,
-    boundary: Optional[Iterable[Simplex]] = None,
-    orientation: Optional[OrientationAssignment] = None,
+    K: SimplicialComplex, orientation: Optional[OrientationAssignment] = None
 ) -> FilteredComplex:
-    return make_filtered(K, {}, boundary, orientation)
+    return make_filtered(K, {}, None, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +607,7 @@ def literal_desuspension(K: SimplicialComplex) -> Tuple[int, SimplicialComplex]:
     j = 0
     while True:
         found = None
-        if K.is_empty() or K.dim < 0:
+        if K.is_empty():
             break
         for a in K.vertices:
             La = link(K, (a,))

@@ -168,7 +168,7 @@ def test_bordism_to_intrinsic_rejects_an_incoherent_or_non_classical_source(entr
     facet = min(signs)
     signs[facet] = -signs[facet]
     with pytest.raises(NotClassical, match="does not extend"):
-        bordism_to_intrinsic(FX, OrientationAssignment(signs))
+        bordism_to_intrinsic(dataclasses.replace(FX, orientation=OrientationAssignment(signs)))
     with pytest.raises(NotClassical, match="needs a classical input"):
         bordism_to_intrinsic(dataclasses.replace(FX, classical=False))
 

@@ -45,6 +45,14 @@ def test_builtin_names_and_errors():
         builtin("witt", ZZ)
     with pytest.raises(UnsupportedCoefficients):
         builtin("ip", QQ)
+    for name in BUILTIN_NAMES:
+        if name in ("witt", "locally_orientable_witt"):
+            assert builtin(name, GF(5)).name == f"{name}(F5)"
+        elif name == "ip":
+            assert builtin(name, ZZ).name == "ip"
+        else:
+            with pytest.raises(UnsupportedCoefficients, match="takes no coefficients"):
+                builtin(name, GF(5))
 
 
 def test_circle_belongs_to_every_builtin():

@@ -115,6 +115,11 @@ def test_unknown_class_is_usage_error():
     assert run(["classify", "catalog:S2", "--class", "nope"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["witt:Z", "ip:Q", "euler2:F5", "all:Z"])
+def test_coefficients_the_class_does_not_take_are_usage_error(spec, capsys):
+    assert_usage_error(["classify", "catalog:S2", "--class", spec], capsys)
+
+
 @pytest.mark.parametrize(
     "spec", ["witt:Q:junk", "euler2:F2:x", "siegel:", "siegel:witt:Q:x", ":Q", ""]
 )
@@ -124,6 +129,25 @@ def test_malformed_class_spec_is_usage_error(spec, capsys):
     assert run(["classify", "catalog:S2", "--class", spec]) == 2
     err = capsys.readouterr().err
     assert err == f"error: class spec {spec!r} is not [siegel:]NAME[:FIELD]\n", err
+
+
+def test_only_the_commands_that_write_take_out(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for argv in (
+        ["validate", "catalog:S2"],
+        ["links", "catalog:S2"],
+        ["homology", "catalog:S2"],
+        ["ih", "catalog:S2"],
+        ["classify", "catalog:S2", "--class", "ip"],
+    ):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out.exists()
+    for argv in (["stratify", "catalog:S2"], ["catalog", "emit", "S2"]):
+        assert run(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["type"] == "filtered_complex"
+        out.unlink()
 
 
 def test_stratify_and_links(capsys):
@@ -409,7 +433,7 @@ def test_bordism_of_an_invalid_stratification_is_usage_error(tmp_path, capsys):
 
     FX = catalog.get("Sigma-T2").stratifications[0]
     path = tmp_path / "trivial.json"
-    doc = jsonio.filtration_to_json(trivial_filtration(FX.complex, None, FX.orientation))
+    doc = jsonio.filtration_to_json(trivial_filtration(FX.complex, FX.orientation))
     jsonio.write_file(str(path), doc)
     assert_usage_error(["bordism", "to-intrinsic", str(path)], capsys)
     assert_usage_error(["bordism", "between", str(path), "catalog:Sigma-T2"], capsys)

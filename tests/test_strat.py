@@ -162,7 +162,7 @@ def _stratum_links(S):
             for sub in itertools.combinations(t, k):
                 if sub in lk_map:
                     lk_map[sub].append(tuple(v for v in t if v not in sub))
-    return {s: build_complex(fs, empty_ok=True) for s, fs in lk_map.items()}
+    return {s: build_complex(fs) for s, fs in lk_map.items()}
 
 
 def test_stratum_links_are_links_in_the_skeleton(entries):
@@ -714,8 +714,9 @@ def test_shapes_tell_apart_complexes_on_one_vertex_set(pair):
 
 
 def test_the_empty_complex_gets_the_raw_answers():
-    E = build_complex([], empty_ok=True)
+    E = build_complex([])
     assert E == SimplicialComplex(frozenset()) == strat.EMPTY and E.dim == -1
+    assert cone(E).facets == {(0,)}
     answers = []
     for recognise in RECOGNISERS:
         flag = _Flag()
