@@ -11,9 +11,9 @@ X and to the levels, and the carrier oriented by pinning its two end levels.
 On top of that sit half-intrinsic suspensions, gluing along boundary pieces,
 and restratification of a given bordism.
 
-Certificates are proofs-carried-with-data: they store the filtered carrier,
-labeled boundary pieces with isomorphisms and signs, and collar data, and can
-be re-verified from scratch.
+Certificates are proofs-carried-with-data: they store the filtered carrier
+and labeled boundary pieces, each with its isomorphism, sign and collar, and
+can be re-verified from scratch.
 """
 
 from __future__ import annotations
@@ -84,13 +84,13 @@ class BoundaryPiece:
     space: FilteredComplex
     iso: LabeledIsomorphism
     sign: int  # +1 or -1
+    collar: Optional[CollarCertificate]
 
 
 @dataclass(frozen=True)
 class BordismCertificate:
     Y: FilteredComplex
     pieces: Tuple[BoundaryPiece, ...]
-    collars: Dict[str, CollarCertificate]
     provenance: str
 
     def piece(self, label: str) -> BoundaryPiece:
@@ -105,7 +105,7 @@ def reverse_certificate(cert: BordismCertificate) -> BordismCertificate:
     oa = cert.Y.orientation.reversed() if cert.Y.orientation else None
     Y = dataclasses.replace(cert.Y, orientation=oa)
     pieces = tuple(dataclasses.replace(p, sign=-p.sign) for p in cert.pieces)
-    return BordismCertificate(Y, pieces, cert.collars, f"reversed({cert.provenance})")
+    return BordismCertificate(Y, pieces, f"reversed({cert.provenance})")
 
 
 # The corner-unfolding scheme: a square with its upper-right quarter deleted
@@ -295,11 +295,10 @@ def _ends(K: SimplicialComplex, vmap, top: int, plus, minus):
         pairs = sorted((vmap[(x, t)], vmap[(x, u)]) for x in K.vertices)
         return CollarCertificate("product", tuple(pairs))
 
-    pieces = [
-        BoundaryPiece("plus", plus, level(top), +1),
-        BoundaryPiece("minus", minus, level(0), -1),
+    return [
+        BoundaryPiece("plus", plus, level(top), +1, collar(top, top - 1)),
+        BoundaryPiece("minus", minus, level(0), -1, collar(0, 1)),
     ]
-    return pieces, {"plus": collar(top, top - 1), "minus": collar(0, 1)}
 
 
 def bordism_to_intrinsic(FX: FilteredComplex) -> BordismCertificate:
@@ -337,8 +336,8 @@ def bordism_to_intrinsic(FX: FilteredComplex) -> BordismCertificate:
     FY, vmap = _product(
         K, _PATH3, depth, (), FX.orientation, FX.classical, FX.heuristic or FXstar.heuristic
     )
-    pieces, collars = _ends(K, vmap, 2, FX, FXstar)
-    return BordismCertificate(FY, tuple(pieces), collars, "bordism_to_intrinsic")
+    pieces = _ends(K, vmap, 2, FX, FXstar)
+    return BordismCertificate(FY, tuple(pieces), "bordism_to_intrinsic")
 
 
 def designated_boundary(FX: FilteredComplex) -> SimplicialComplex:
@@ -368,7 +367,7 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
         FX.classical,
         FX.heuristic,
     )
-    pieces, collars = _ends(K, vmap, 1, FX, FX)
+    pieces = _ends(K, vmap, 1, FX, FX)
     if not B.is_empty():
         # Side piece: the cylinder over the boundary, stratified by the
         # induced boundary filtration (depth one less than in X) shifted up
@@ -377,12 +376,12 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
             B, _PATH2, lambda xs, _ts: FX.depth[xs], (), None, FX.classical, FX.heuristic
         )
         side_iso = LabeledIsomorphism({v: vmap[p] for p, v in side_vmap.items()})
-        pieces.append(BoundaryPiece("side", side_space, side_iso, +1))
         corner_pairs = tuple(
             sorted((vmap[(x, t)], vmap[(x, 1 - t)]) for x in B.vertices for t in (0, 1))
         )
-        collars["side"] = CollarCertificate("corner", corner_pairs)
-    return BordismCertificate(FY, tuple(pieces), collars, "cylinder")
+        corner = CollarCertificate("corner", corner_pairs)
+        pieces.append(BoundaryPiece("side", side_space, side_iso, +1, corner))
+    return BordismCertificate(FY, tuple(pieces), "cylinder")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +420,7 @@ def glue(
     p1, p2 = Y1.piece(l1), Y2.piece(l2)
     if p1.sign == p2.sign:
         raise SignClash(f"pieces {l1} and {l2} both carry sign {p1.sign:+d}")
-    if l1 not in Y1.collars or l2 not in Y2.collars:
+    if p1.collar is None or p2.collar is None:
         raise CollarMissing("both glued pieces need collar certificates")
     if p1.space.same_filtration(p2.space):
         iso = LabeledIsomorphism({v: v for v in p1.space.complex.vertices})
@@ -442,18 +441,16 @@ def glue(
 
     facets = list(Y1.Y.complex.facets) + [map2(f) for f in Y2.Y.complex.facets]
     Gc = build_complex(facets)
-    gens = {
-        j: list(Y1.Y.skeleton(j).faces) + [map2(f) for f in Y2.Y.skeleton(j).faces]
-        for j in range(Gc.dim)
-    }
+    # Skeleton j of the union is generated by both skeleta j: a face's depth
+    # is the lesser of its depths in Y1 and in the relabelled Y2.
+    d2 = {map2(f): d for f, d in Y2.Y.depth.items()}
+    depth = {f: min(Y1.Y.depth.get(f, Gc.dim), d2.get(f, Gc.dim)) for f in Gc.faces}
+    # relabel sends p2.iso(iso(v)) to p1.iso(v), so both sides see one seam.
+    seam = {p1.iso.apply(f) for f in p1.space.complex.faces}
     seam_facets = {p1.iso.apply(f) for f in p1.space.complex.facets}
     b1 = Y1.Y.boundary.faces if Y1.Y.boundary is not None else frozenset()
     b2 = Y2.Y.boundary.faces if Y2.Y.boundary is not None else frozenset()
-    drop1 = {p1.iso.apply(f) for f in p1.space.complex.faces}
-    drop2 = {map2(p2.iso.apply(f)) for f in p2.space.complex.faces}
-    bgens = [f for f in b1 if f not in drop1] + [
-        map2(f) for f in b2 if map2(f) not in drop2
-    ]
+    bgens = [f for f in itertools.chain(b1, map(map2, b2)) if f not in seam]
 
     oy = None
     if Y1.Y.orientation is not None and Y2.Y.orientation is not None:
@@ -468,17 +465,16 @@ def glue(
             total = sum(signs[f] * incidence(f, r) for f in fs)
             if total != 0:
                 raise SignClash("induced orientations clash across the seam")
-    FY = make_filtered(
+    FY = filtered_by_depth(
         Gc,
-        gens,
+        depth.__getitem__,
         bgens if bgens else None,
         oy,
         Y1.Y.classical and Y2.Y.classical,
         Y1.Y.heuristic or Y2.Y.heuristic,
     )
-    # The surviving pieces and collars: Y1's as stored, Y2's relabelled.
+    # The surviving pieces: Y1's as stored, Y2's relabelled with their collars.
     pieces = []
-    collars = {}
     used = set()
     for Y, glued, rl in ((Y1, l1, None), (Y2, l2, relabel)):
         for p in Y.pieces:
@@ -488,19 +484,14 @@ def glue(
             while label in used:
                 label += "'"
             used.add(label)
-            col = Y.collars.get(p.label)
             if rl is not None:
                 iso2 = LabeledIsomorphism({v: rl[w] for v, w in p.iso.vertex_map.items()})
-                p = dataclasses.replace(p, iso=iso2)
-                if col is not None:
-                    pairs = sorted((rl[a], rl[b]) for a, b in col.data)
-                    col = CollarCertificate(col.kind, tuple(pairs))
+                c = p.collar and CollarCertificate(
+                    p.collar.kind, tuple(sorted((rl[a], rl[b]) for a, b in p.collar.data))
+                )
+                p = dataclasses.replace(p, iso=iso2, collar=c)
             pieces.append(dataclasses.replace(p, label=label))
-            if col is not None:
-                collars[label] = col
-    return BordismCertificate(
-        FY, tuple(pieces), collars, f"glue({Y1.provenance},{Y2.provenance})"
-    )
+    return BordismCertificate(FY, tuple(pieces), f"glue({Y1.provenance},{Y2.provenance})")
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +499,12 @@ def glue(
 
 
 def _plus_minus(cert: BordismCertificate, provenance: str) -> BordismCertificate:
-    """cert with each piece, and its collar, relabelled "plus" or "minus" by sign."""
-    pieces = []
-    collars = {}
-    for p in cert.pieces:
-        label = "plus" if p.sign == +1 else "minus"
-        pieces.append(dataclasses.replace(p, label=label))
-        collars[label] = cert.collars[p.label]
-    return BordismCertificate(cert.Y, tuple(pieces), collars, provenance)
+    """cert with each piece relabelled "plus" or "minus" by sign."""
+    pieces = tuple(
+        dataclasses.replace(p, label="plus" if p.sign == +1 else "minus")
+        for p in cert.pieces
+    )
+    return BordismCertificate(cert.Y, pieces, provenance)
 
 
 def bordism_between_stratifications(
@@ -608,11 +597,17 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
         for p in cert.pieces
         for f, d in p.space.depth.items()
     )
-    checks["collars_present"] = all(p.label in cert.collars for p in cert.pieces)
+    # A collar pairs each vertex of its piece, once, with a carrier neighbour.
+    checks["collars_present"] = all(
+        p.collar is not None
+        and sorted(a for a, _b in p.collar.data) == sorted(p.iso.vertex_map.values())
+        and all(a != b and (min(a, b), max(a, b)) in Yc.faces for a, b in p.collar.data)
+        for p in cert.pieces
+    )
     checks["corner_scheme_valid"] = all(
         verify_corner_unfolding()
-        for c in cert.collars.values()
-        if c.kind == "corner"
+        for p in cert.pieces
+        if p.collar is not None and p.collar.kind == "corner"
     )
     if cert.Y.orientation is not None:
         bo = boundary_orientation(Yc, cert.Y.orientation)

@@ -349,7 +349,11 @@ def _require_valid(FX: FilteredComplex, ref: str, mode: str = "closed") -> None:
 
 
 def _cmd_bordism(args) -> int:
+    if args.other is not None and args.mode != "between":
+        raise StrataError(f"bordism {args.mode} takes one input")
     if args.mode == "verify":
+        if args.out is not None:
+            raise StrataError("bordism verify writes no file")
         cert, digest = _load_certificate(args.space)
         rep = bordism.verify_certificate(cert)
         report = {
@@ -409,6 +413,8 @@ def _cmd_glue(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.mode == "list":
+        if args.name is not None or args.out is not None:
+            raise StrataError("catalog list takes no name and writes no file")
         report = {"command": "catalog list", "names": list(catalog.names())}
         _emit(report, args, list(catalog.names()))
         return 0

@@ -175,8 +175,9 @@ def certificate_to_json(cert: BordismCertificate) -> Dict[str, Any]:
             for p in cert.pieces
         ],
         "collars": {
-            label: {"kind": c.kind, "data": [list(pair) for pair in c.data]}
-            for label, c in sorted(cert.collars.items())
+            p.label: {"kind": p.collar.kind, "data": [list(pair) for pair in p.collar.data]}
+            for p in cert.pieces
+            if p.collar is not None
         },
         "provenance": cert.provenance,
     }
@@ -193,7 +194,7 @@ def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
         if sorted(a for a, _b in pairs) != list(space.complex.vertices):
             raise MalformedFiltration("a piece's iso must map each vertex once")
         iso = LabeledIsomorphism(dict(pairs))
-        pieces.append(BoundaryPiece(_field(p, "label", str), space, iso, p["sign"]))
+        pieces.append((_field(p, "label", str), space, iso, p["sign"]))
     collars = {}
     for label, c in _field(doc, "collars", dict).items():
         kind = _field(c, "kind", str)
@@ -203,13 +204,13 @@ def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
         collars[label] = CollarCertificate(kind, data)
     carrier = filtration_from_json(_field(doc, "carrier"))
     vertices = set(carrier.complex.vertices)
-    if any(not vertices.issuperset(p.iso.vertex_map.values()) for p in pieces):
+    if any(not vertices.issuperset(iso.vertex_map.values()) for _l, _s, iso, _g in pieces):
         raise MalformedFiltration("a piece's iso maps a vertex off the carrier")
     if any(not vertices.issuperset(pair) for c in collars.values() for pair in c.data):
         raise MalformedFiltration("a collar pairs a vertex off the carrier")
-    return BordismCertificate(
-        carrier, tuple(pieces), collars, _field(doc, "provenance", str)
-    )
+    # A collar whose label names no piece has nothing to sit on and is dropped.
+    pieces = tuple(BoundaryPiece(*p, collars.get(p[0])) for p in pieces)
+    return BordismCertificate(carrier, pieces, _field(doc, "provenance", str))
 
 
 def dumps(doc: Any) -> str:

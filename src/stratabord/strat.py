@@ -563,15 +563,10 @@ def intrinsic_stratification(K: SimplicialComplex) -> FilteredComplex:
     if K.is_empty():
         return trivial_filtration(K)
     flag = _Flag()
-    n = K.dim
     skeleta: Dict[int, List[Simplex]] = {}
+    # Closed K: ridge and facet links are S⁰ and empty, so no class has codimension < 2.
     for _inv, faces in germ_partition(K, flag):
-        d = max(len(s) - 1 for s in faces)
-        if d >= n - 1:
-            raise NotPseudomanifold(
-                "intrinsic partition produced a codimension-one singular class"
-            )
-        skeleta.setdefault(d, []).extend(faces)
+        skeleta.setdefault(max(len(s) - 1 for s in faces), []).extend(faces)
     return make_filtered(K, skeleta, None, None, True, flag.heuristic)
 
 
@@ -728,7 +723,7 @@ def _check_stratum_links(
 
 
 def validate_stratified_pseudomanifold(
-    FX: FilteredComplex, mode: str = "closed", _depth: int = 0
+    FX: FilteredComplex, mode: str = "closed"
 ) -> ValidationReport:
     """Clause-by-clause validation; see the module docstring for exactness levels.
 
@@ -797,37 +792,35 @@ def validate_stratified_pseudomanifold(
     def recurse(child: FilteredComplex) -> List[str]:
         """Validate a child filtration closed, one level down; fold its flag
         into ours and return the clauses it fails."""
-        rep = validate_stratified_pseudomanifold(child, "closed", _depth + 1)
+        rep = validate_stratified_pseudomanifold(child, "closed")
         flag.heuristic = flag.heuristic or rep.heuristic
         return rep.failing()
 
-    # (f) recursive link condition on singular strata
+    # (f) recursive link condition on singular strata.  The recursion needs no
+    # cap: each link here has dimension below n, and (g) recurses on a boundary
+    # of dimension n − 1, so there are at most n + 1 levels.
     ok_f, det_f = True, ""
-    if _depth >= 12 and not all(S.regular for S in all_strata):
-        flag.heuristic = True
-        det_f = "recursion depth limit: link condition not checked"
-    elif _depth < 12:
-        for S in all_strata:
-            if S.regular:
+    for S in all_strata:
+        if S.regular:
+            continue
+        tops = S.top_simplices
+        if not tops:
+            ok_f, det_f = False, f"stratum of dim {S.dim} has no top simplex"
+            break
+        # K is pure by clause (b), so each link has dimension n − dim S − 1.
+        seen = set()
+        for s in tops:
+            L = link(K, s)
+            if L.facets in seen:
                 continue
-            tops = S.top_simplices
-            if not tops:
-                ok_f, det_f = False, f"stratum of dim {S.dim} has no top simplex"
+            seen.add(L.facets)
+            failing = recurse(_restrict_to_skeleta(FX, L, s))
+            if failing:
+                ok_f = False
+                det_f = f"link of stratum dim {S.dim} fails clauses {failing}"
                 break
-            # K is pure by clause (b), so each link has dimension n − dim S − 1.
-            seen = set()
-            for s in tops:
-                L = link(K, s)
-                if L.facets in seen:
-                    continue
-                seen.add(L.facets)
-                failing = recurse(_restrict_to_skeleta(FX, L, s))
-                if failing:
-                    ok_f = False
-                    det_f = f"link of stratum dim {S.dim} fails clauses {failing}"
-                    break
-            if not ok_f:
-                break
+        if not ok_f:
+            break
     clauses.append(ClauseResult("f", ok_f, det_f))
 
     # (g) boundary clauses

@@ -285,6 +285,15 @@ def test_parse_ring():
         parse_ring("R")
 
 
+def test_gf_decides_primality_past_trial_division():
+    # 41·43 has no factor among the witnesses; 151·751·28351 is a strong
+    # pseudoprime to the bases 2, 3, 5 and 7.
+    for p in (0, 1, 1763, 3215031751):
+        with pytest.raises(UnsupportedCoefficients):
+            GF(p)
+    assert GF(2**61 - 1).p == 2**61 - 1
+
+
 # ---------------------------------------------------------------------------
 # Kernel and exact solve
 

@@ -8,8 +8,9 @@ import dataclasses
 import pytest
 
 from conftest import cones_with_boundary, flip_interior_sign
-from stratabord import bordism, catalog, strat
+from stratabord import bordism, catalog, jsonio, strat
 from stratabord.algebra import ZZ, homology
+from stratabord.cli import run
 from stratabord.bordism import (
     _PATH3,
     CORNER_UNFOLDING,
@@ -105,7 +106,7 @@ def test_cylinder_of_space_with_boundary():
     rep = verify_certificate(cert)
     assert rep.passed
     assert {p.label for p in cert.pieces} == {"plus", "minus", "side"}
-    assert cert.collars["side"].kind == "corner"
+    assert cert.piece("side").collar.kind == "corner"
 
 
 def test_glue_cancels_matching_boundary(entries):
@@ -264,10 +265,47 @@ def test_incoherent_carrier_orientation_fails_verification(entries):
 
 def test_missing_collar_detected(entries):
     cert = cylinder(entries["S2"].stratifications[0])
-    bad = dataclasses.replace(cert, collars={})
+    pieces = tuple(dataclasses.replace(p, collar=None) for p in cert.pieces)
+    bad = dataclasses.replace(cert, pieces=pieces)
     rep = verify_certificate(bad)
     assert not rep.passed
     assert not rep.checks["collars_present"]
+
+
+def _forge_plus_collar(cert, forge):
+    """cert with the pairs of its plus piece's collar replaced by forge(cert)."""
+    pieces = tuple(
+        dataclasses.replace(p, collar=bordism.CollarCertificate("product", forge(cert)))
+        if p.label == "plus"
+        else p
+        for p in cert.pieces
+    )
+    return dataclasses.replace(cert, pieces=pieces)
+
+
+COLLAR_FORGERIES = {
+    # every plus vertex paired with itself
+    "self_pairs": lambda c: tuple((a, a) for a in c.piece("plus").iso.vertex_map.values()),
+    # a vertex at level 2 paired with one at level 0: they span no edge
+    "no_edge": lambda c: (
+        (c.piece("plus").collar.data[0][0], min(c.piece("minus").iso.vertex_map.values())),
+        *c.piece("plus").collar.data[1:],
+    ),
+    # the first vertex of the piece has no pair
+    "misses_a_vertex": lambda c: c.piece("plus").collar.data[1:],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLAR_FORGERIES))
+def test_forged_collar_fails_verification(name, entries, tmp_path):
+    cert = bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0])
+    bad = _forge_plus_collar(cert, COLLAR_FORGERIES[name])
+    rep = verify_certificate(bad)
+    assert not rep.passed
+    assert [k for k, ok in rep.checks.items() if not ok] == ["collars_present"]
+    path = tmp_path / "forged.json"
+    jsonio.write_file(str(path), jsonio.certificate_to_json(bad))
+    assert run(["bordism", "verify", str(path)]) == 1
 
 
 def _old_bordism_skeleta(FX):

@@ -174,6 +174,14 @@ def test_siegel_contained_in_g_of_e():
                 assert g_of_e_membership(K, E), (cname, name)
 
 
+def test_siegel_class_member_is_siegel_membership():
+    for cname in ("witt", "ip", "euler2"):
+        E = builtin(cname)
+        for name in catalog.names():
+            K = catalog.get(name).complex
+            assert siegel(E).member(K) == siegel_membership(K, E), (cname, name)
+
+
 def test_siegel_clauses_witness():
     E = builtin("witt")
     # a sphere is itself an allowed link and has sphere links

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import flip_interior_sign
-from stratabord import jsonio
+from stratabord import catalog, jsonio
 from stratabord.classes import BUILTIN_NAMES
 from stratabord.cli import parse_class_spec, run
 
@@ -33,6 +33,12 @@ def test_catalog_list(capsys):
     assert "Sigma-T3" in out.split()
 
 
+def test_catalog_emit_without_out_or_json_prints_the_filtration(capsys):
+    code, out = run_capture(capsys, ["catalog", "emit", "S1"])
+    assert code == 0
+    assert out == jsonio.dumps(jsonio.filtration_to_json(catalog.get("S1").stratifications[0]))
+
+
 def test_catalog_emit_unknown_name_is_usage_error():
     assert run(["catalog", "emit", "S99"]) == 2
     assert run(["catalog", "emit", "S2", "--stratification", "9"]) == 2
@@ -49,7 +55,6 @@ def test_validate_pass_and_report(capsys, sigma_t2_file):
 
 def test_validate_failure_exits_one(capsys, tmp_path):
     # trivially filtered suspension of a torus: not a valid stratification
-    from stratabord import catalog
     from stratabord.strat import trivial_filtration
 
     FX = trivial_filtration(catalog.get("Sigma-T2").complex)
@@ -148,6 +153,23 @@ def test_only_the_commands_that_write_take_out(tmp_path, capsys):
         assert run(argv + ["--out", str(out)]) == 0
         assert json.loads(out.read_text())["type"] == "filtered_complex"
         out.unlink()
+
+
+def test_modes_reject_the_arguments_they_would_ignore(tmp_path, capsys):
+    cert, out = tmp_path / "cert.json", tmp_path / "out.json"
+    assert run(["bordism", "to-intrinsic", "catalog:Sigma-T2", "--out", str(cert)]) == 0
+    for argv, message in (
+        (["bordism", "verify", str(cert), "--out", str(out)], "bordism verify writes no file"),
+        (["bordism", "verify", str(cert), str(cert)], "bordism verify takes one input"),
+        (["bordism", "to-intrinsic", "catalog:S2", "catalog:S2"], "bordism to-intrinsic takes one input"),
+        (["bordism", "cylinder", "catalog:S2", "catalog:S2"], "bordism cylinder takes one input"),
+        (["catalog", "list", "--out", str(out)], "catalog list takes no name and writes no file"),
+        (["catalog", "list", "S2"], "catalog list takes no name and writes no file"),
+    ):
+        assert_usage_error(argv, capsys)
+        run(argv)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_stratify_and_links(capsys):
@@ -263,7 +285,7 @@ def test_orientation_missing_a_facet_is_usage_error(cylinder_doc, tmp_path, caps
 
 
 WRONG_TYPES = {
-    "collars_list": lambda d: d.update(collars=[]),
+    "collars_list": lambda d: d.update({"collars": []}),
     "pieces_object": lambda d: d.update(pieces={}),
     "piece_not_object": lambda d: d.update(pieces=[1]),
     "iso_not_pairs": lambda d: d["pieces"][0].update(iso=[[0]]),
@@ -428,7 +450,6 @@ def test_over_dimensioned_skeleton_is_usage_error(over_dimensioned_s2, unnested_
 
 
 def test_bordism_of_an_invalid_stratification_is_usage_error(tmp_path, capsys):
-    from stratabord import catalog
     from stratabord.strat import trivial_filtration
 
     FX = catalog.get("Sigma-T2").stratifications[0]

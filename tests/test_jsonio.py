@@ -74,4 +74,4 @@ def test_cylinder_certificate_roundtrip():
     doc = jsonio.certificate_to_json(cert)
     back = jsonio.certificate_from_json(doc)
     assert jsonio.dumps(jsonio.certificate_to_json(back)) == jsonio.dumps(doc)
-    assert back.collars.keys() == cert.collars.keys()
+    assert [p.collar for p in back.pieces] == [p.collar for p in cert.pieces]

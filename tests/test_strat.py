@@ -174,16 +174,10 @@ def test_stratum_links_are_links_in_the_skeleton(entries):
                 assert link(FX.skeleton(S.dim), s) == L, (S.dim, s)
 
 
-def test_validator_flags_links_left_unchecked_at_the_depth_limit(entries):
+def test_validator_checks_every_link_with_no_depth_limit(entries):
     FX = entries["Sigma-T2"].stratifications[0]
     checked = validate_stratified_pseudomanifold(FX)
     assert checked.passed and not checked.heuristic and checked.clause("f").detail == ""
-    rep = validate_stratified_pseudomanifold(FX, _depth=12)
-    assert rep.passed and rep.heuristic
-    assert rep.clause("f").detail == "recursion depth limit: link condition not checked"
-    # with no singular stratum there is nothing left unchecked
-    manifold = validate_stratified_pseudomanifold(entries["T2"].stratifications[0], _depth=12)
-    assert manifold.clause("f").detail == "" and not manifold.heuristic
 
 
 def test_validator_names_broken_nesting():
@@ -477,16 +471,21 @@ def test_link_and_boundary_filtrations_match_the_old_loops(
     # The validator hands its boundary filtration to its last recursive call.
     validate = strat.validate_stratified_pseudomanifold
     seen = []
+    level = [0]
 
-    def recording(FX, mode="closed", _depth=0):
-        seen.append((FX, _depth))
-        return validate(FX, mode, _depth)
+    def recording(FX, mode="closed"):
+        seen.append((FX, level[0]))
+        level[0] += 1
+        try:
+            return validate(FX, mode)
+        finally:
+            level[0] -= 1
 
     monkeypatch.setattr(strat, "validate_stratified_pseudomanifold", recording)
     cylinders = [cylinder(FX).Y for FX in spaces[:4]]  # over S¹, S² (twice) and S³
     for FX in cones_with_boundary(entries) + cylinders:
         seen.clear()
-        assert validate(FX, "with-boundary").passed
+        assert recording(FX, "with-boundary").passed
         assert [F for F, d in seen if d == 1][-1] == _old_boundary_filtration(FX)
 
 
