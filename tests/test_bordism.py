@@ -297,7 +297,7 @@ COLLAR_FORGERIES = {
 
 
 @pytest.mark.parametrize("name", sorted(COLLAR_FORGERIES))
-def test_forged_collar_fails_verification(name, entries, tmp_path):
+def test_forged_collar_fails_verification(name, entries, tmp_path, capsys):
     cert = bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0])
     bad = _forge_plus_collar(cert, COLLAR_FORGERIES[name])
     rep = verify_certificate(bad)
@@ -306,6 +306,7 @@ def test_forged_collar_fails_verification(name, entries, tmp_path):
     path = tmp_path / "forged.json"
     jsonio.write_file(str(path), jsonio.certificate_to_json(bad))
     assert run(["bordism", "verify", str(path)]) == 1
+    assert "collars_present: FAIL" in capsys.readouterr().out
 
 
 def _old_bordism_skeleta(FX):
