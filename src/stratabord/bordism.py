@@ -575,6 +575,27 @@ class CertificateReport:
     heuristic: bool = False
 
 
+def _spans_prisms(p: BoundaryPiece, faces: Collection[Simplex]) -> bool:
+    """Does p's product collar c triangulate the prism σ × I over each facet σ
+    of p by carrier faces?  With a_0 < … < a_k the images of σ's vertices in
+    the piece's order, one staircase is {a_0 … a_i, c(a_i) … c(a_k)} for
+    i = 0 … k and the other swaps a and c(a).  Either holds only if c is
+    injective on σ and c(σ), a face of a staircase simplex, is a carrier face."""
+    c = dict(p.collar.data)
+    for sigma in p.space.complex.facets:
+        a = [p.iso.vertex_map[v] for v in sigma]
+        b = [c[v] for v in a]
+        if not any(
+            all(
+                len(s) == len(a) + 1 and tuple(sorted(s)) in faces
+                for s in (set(lo[: i + 1] + hi[i:]) for i in range(len(a)))
+            )
+            for lo, hi in ((a, b), (b, a))
+        ):
+            return False
+    return True
+
+
 def verify_certificate(cert: BordismCertificate) -> CertificateReport:
     """Re-verify a certificate from scratch: carrier validation, piece
     coverage, induced filtrations, collars, and orientation signs (a
@@ -597,11 +618,13 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
         for p in cert.pieces
         for f, d in p.space.depth.items()
     )
-    # A collar pairs each vertex of its piece, once, with a carrier neighbour.
+    # A collar pairs each vertex of its piece, once, with a carrier neighbour,
+    # and a product collar spans a prism of carrier faces over each facet.
     checks["collars_present"] = all(
         p.collar is not None
         and sorted(a for a, _b in p.collar.data) == sorted(p.iso.vertex_map.values())
         and all(a != b and (min(a, b), max(a, b)) in Yc.faces for a, b in p.collar.data)
+        and (p.collar.kind != "product" or _spans_prisms(p, Yc.faces))
         for p in cert.pieces
     )
     checks["corner_scheme_valid"] = all(

@@ -1,11 +1,11 @@
-"""Shipped example spaces with verified invariants and paired stratifications.
+"""Shipped example spaces with stored invariants and paired stratifications.
 
 Each entry records a carrier complex, its Euler characteristic, integral
 homology, orientability, expected membership in the built-in singularity
-classes, and one or more stratifications.  Entries are self-verifying: the
-stored numbers are re-derived by the library's own oracles when the entry is
-first requested, and every shipped stratification is run through the full
-validator.  Entries are cached after that check, so repeated access is cheap.
+classes, and one or more stratifications.  The stored numbers are checked
+data: `tests/test_catalog.py` re-derives them with the library's own oracles
+and runs every shipped stratification through the full validator, so `get`
+only builds an entry and caches it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
-from . import algebra
 from ._rp3_data import RP3_FACETS
 from .complexes import (
     SimplicialComplex,
@@ -24,12 +23,11 @@ from .complexes import (
     suspension,
     suspension_poles,
 )
-from .errors import InternalInvariantBreach, UnknownName
+from .errors import UnknownName
 from .strat import (
     FilteredComplex,
     make_filtered,
     trivial_filtration,
-    validate_stratified_pseudomanifold,
 )
 
 HomologyTable = Tuple[Tuple[int, Tuple[int, ...]], ...]
@@ -223,39 +221,10 @@ def _build(name: str) -> CatalogEntry:
     )
 
 
-def _verify(entry: CatalogEntry) -> None:
-    K = entry.complex
-    chi = K.euler_characteristic()
-    if chi != entry.euler:
-        raise InternalInvariantBreach(
-            f"{entry.name}: Euler characteristic {chi} != stored {entry.euler}"
-        )
-    groups = algebra.homology(K, algebra.ZZ)
-    derived = tuple((g.rank, g.torsion) for g in groups)
-    if derived != entry.homology:
-        raise InternalInvariantBreach(
-            f"{entry.name}: homology {derived} != stored {entry.homology}"
-        )
-    if is_orientable(K) != entry.orientable:
-        raise InternalInvariantBreach(f"{entry.name}: orientability mismatch")
-    for k, FX in enumerate(entry.stratifications):
-        if FX.complex.facets != K.facets:
-            raise InternalInvariantBreach(
-                f"{entry.name}: stratification {k} has a different carrier"
-            )
-        report = validate_stratified_pseudomanifold(FX)
-        if not report.passed:
-            raise InternalInvariantBreach(
-                f"{entry.name}: stratification {k} fails clauses {report.failing()}"
-            )
-
-
 def get(name: str) -> CatalogEntry:
-    """The named entry, verified on first access and cached afterwards."""
+    """The named entry, built on first access and cached afterwards."""
     if name not in _cache:
-        entry = _build(name)
-        _verify(entry)
-        _cache[name] = entry
+        _cache[name] = _build(name)
     return _cache[name]
 
 

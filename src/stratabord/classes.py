@@ -87,7 +87,11 @@ class SingularityClass:
 @_memo_on_shape
 def _middle_ih(K: SimplicialComplex, flag: _Flag, ring: Ring):
     """Lower-middle IH of K's intrinsic stratification over ring, as a tuple;
-    the flag is that stratification's."""
+    the flag is that stratification's.  Over ℚ it is the free part of the
+    memoized ℤ entry, since IC(ℤ) ⊗ ℚ = IC(ℚ) and ℚ is flat; over 𝔽ₚ that
+    fails, so 𝔽ₚ keeps its own computation."""
+    if ring == QQ:
+        return tuple(algebra.HomologyGroup(g.rank) for g in _middle_ih(K, flag, ZZ))
     FX = intrinsic_stratification(K)
     flag.heuristic = FX.heuristic
     return tuple(ih.intersection_homology(FX, ih.lower_middle(max(K.dim, 2)), ring))

@@ -194,7 +194,10 @@ def certificate_from_json(doc: Dict[str, Any]) -> BordismCertificate:
         if sorted(a for a, _b in pairs) != list(space.complex.vertices):
             raise MalformedFiltration("a piece's iso must map each vertex once")
         iso = LabeledIsomorphism(dict(pairs))
-        pieces.append((_field(p, "label", str), space, iso, p["sign"]))
+        label = _field(p, "label", str)
+        if any(q[0] == label for q in pieces):
+            raise MalformedFiltration(f"two pieces carry the label {label!r}")
+        pieces.append((label, space, iso, p["sign"]))
     collars = {}
     for label, c in _field(doc, "collars", dict).items():
         kind = _field(c, "kind", str)

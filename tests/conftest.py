@@ -18,7 +18,8 @@ from stratabord.strat import filtered_by_depth, make_filtered
 
 @pytest.fixture(scope="session")
 def entries():
-    """All catalog entries, loaded (and self-verified) once per session."""
+    """All catalog entries, loaded once per session; `tests/test_catalog.py`
+    checks their stored data."""
     return {name: catalog.get(name) for name in catalog.names()}
 
 

@@ -293,7 +293,14 @@ COLLAR_FORGERIES = {
     ),
     # the first vertex of the piece has no pair
     "misses_a_vertex": lambda c: c.piece("plus").collar.data[1:],
+    # the second vertex shares the first one's partner, a carrier edge still
+    "not_injective": lambda c: _not_injective(c.piece("plus").collar.data),
 }
+
+
+def _not_injective(data):
+    (a0, b0), (a1, _b1), *rest = data
+    return ((a0, b0), (a1, b0), *rest)
 
 
 @pytest.mark.parametrize("name", sorted(COLLAR_FORGERIES))
@@ -307,6 +314,19 @@ def test_forged_collar_fails_verification(name, entries, tmp_path, capsys):
     jsonio.write_file(str(path), jsonio.certificate_to_json(bad))
     assert run(["bordism", "verify", str(path)]) == 1
     assert "collars_present: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["S2", "T2", "Sigma-S1"])
+def test_non_injective_product_collar_fails_on_cylinders(name, entries):
+    cert = cylinder(entries[name].stratifications[0])
+    bad = _forge_plus_collar(cert, COLLAR_FORGERIES["not_injective"])
+    if name == "S2":
+        assert bad.piece("plus").collar.data == ((1, 0), (3, 0), (5, 4), (7, 6))
+    rep = verify_certificate(bad)
+    assert [k for k, ok in rep.checks.items() if not ok] == ["collars_present"]
+    # The forged pairs are still carrier edges: only the prisms tell.
+    Yc = cert.Y.complex
+    assert all((min(a, b), max(a, b)) in Yc.faces for a, b in bad.piece("plus").collar.data)
 
 
 def _old_bordism_skeleta(FX):

@@ -1,8 +1,14 @@
-"""Catalog entries: self-verification, naming, and stratification pairs."""
+"""Catalog entries: naming, stratification pairs, and the check of the stored
+data.  `catalog.get` builds and caches; the stored Euler characteristics,
+homology tables and orientability, and every shipped stratification, are
+checked here against what the library computes."""
 
 import pytest
 
-from stratabord import catalog
+from conftest import empty_memo, record_raw_calls
+from stratabord import catalog, strat
+from stratabord.algebra import ZZ, homology
+from stratabord.complexes import is_orientable
 from stratabord.errors import UnknownName
 from stratabord.strat import validate_stratified_pseudomanifold
 
@@ -21,6 +27,31 @@ def test_unknown_name_raises():
 
 def test_get_is_cached():
     assert catalog.get("S2") is catalog.get("S2")
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_stored_data_matches_what_the_library_computes(name, entries):
+    e = entries[name]
+    K = e.complex
+    assert K.euler_characteristic() == e.euler
+    assert tuple((g.rank, g.torsion) for g in homology(K, ZZ)) == e.homology
+    assert is_orientable(K) == e.orientable
+    for k, FX in enumerate(e.stratifications):
+        assert FX.complex.facets == K.facets, k
+        rep = validate_stratified_pseudomanifold(FX)
+        assert rep.passed, (k, rep.failing())
+
+
+def test_a_cold_get_recognises_nothing(monkeypatch):
+    """Building an entry runs no link recognition: the check of the stored
+    data lives in the tests, not in every process."""
+    monkeypatch.setattr(catalog, "_cache", {})
+    calls = []
+    for routine in (strat.sphere_like, strat.ball_like):
+        empty_memo(monkeypatch, routine)
+        calls.append(record_raw_calls(monkeypatch, routine))
+    catalog.get("Sigma-T3")
+    assert calls == [[], []]
 
 
 def test_basic_entries(entries):

@@ -31,7 +31,7 @@ from stratabord.errors import (
     UnknownName,
     UnsupportedCoefficients,
 )
-from stratabord.strat import _Flag, strata, stratum_link
+from stratabord.strat import _Flag, intrinsic_stratification, strata, stratum_link
 
 S1 = build_complex([(0, 1), (1, 2), (0, 2)])
 
@@ -247,9 +247,8 @@ def _middle_ih_or_error(compute, K, ring):
         return type(exc), str(exc)
 
 
-def test_memoized_middle_ih_matches_the_raw_routine(
-    entries, sigma_t2_carriers, sigma_t3_carrier
-):
+def _singular_links(entries, sigma_t2_carriers, sigma_t3_carrier):
+    """The distinct singular stratum links of the catalog and the carriers."""
     spaces = [FX for entry in entries.values() for FX in entry.stratifications]
     links = {}
     for FX in spaces + sigma_t2_carriers + [sigma_t3_carrier]:
@@ -257,8 +256,15 @@ def test_memoized_middle_ih_matches_the_raw_routine(
             if not S.regular:
                 L = stratum_link(FX, S).complex
                 links.setdefault(L.facets, L)
-    assert any(L.dim >= 3 for L in links.values())
-    for L in links.values():
+    return list(links.values())
+
+
+def test_memoized_middle_ih_matches_the_raw_routine(
+    entries, sigma_t2_carriers, sigma_t3_carrier
+):
+    links = _singular_links(entries, sigma_t2_carriers, sigma_t3_carrier)
+    assert any(L.dim >= 3 for L in links)
+    for L in links:
         for ring in (ZZ, QQ, GF(2)):
             raw = _middle_ih_or_error(_middle_ih.__wrapped__, L, ring)
             assert _middle_ih_or_error(_middle_ih, L, ring) == raw, sorted(L.facets)
@@ -276,4 +282,25 @@ def test_a_monotone_relabelling_makes_no_raw_ih_call(monkeypatch):
     moved = S4.relabel({v: 3 * v + 1000 for v in S4.vertices})
     assert _middle_ih(moved, again, QQ) == answer
     assert again.heuristic and calls == []
-    assert _middle_ih(moved, _Flag(), ZZ) and calls == [(moved, ZZ)]
+    # The ℚ entry was read from the ℤ one, which the same key now holds; a
+    # field with its own computation is a miss.
+    assert _middle_ih(moved, _Flag(), ZZ) and calls == []
+    assert _middle_ih(moved, _Flag(), GF(2)) and calls == [(moved, GF(2))]
+
+
+def _middle_ih_direct(K, flag, ring):
+    """Middle IH computed over the ring itself, as `_middle_ih` did over ℚ
+    before it read ℚ from the ℤ entry, kept as an oracle."""
+    FX = intrinsic_stratification(K)
+    flag.heuristic = FX.heuristic
+    return tuple(ih.intersection_homology(FX, ih.lower_middle(max(K.dim, 2)), ring))
+
+
+def test_middle_ih_over_q_is_the_free_part_of_the_z_entry(
+    entries, sigma_t2_carriers, sigma_t3_carrier
+):
+    links = _singular_links(entries, sigma_t2_carriers, sigma_t3_carrier)
+    assert any(any(g.torsion for g in _middle_ih(L, _Flag(), ZZ)) for L in links)
+    for L in links:
+        raw = _middle_ih_or_error(_middle_ih_direct, L, QQ)
+        assert _middle_ih_or_error(_middle_ih.__wrapped__, L, QQ) == raw, sorted(L.facets)

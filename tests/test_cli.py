@@ -297,6 +297,7 @@ WRONG_TYPES = {
     "iso_repeats_a_vertex": lambda d: d["pieces"][0]["iso"][1].__setitem__(0, 0),
     "skeleton_off_carrier": lambda d: d["pieces"][0]["space"].update(skeleta=[[[999]], []]),
     "label_list": lambda d: d["pieces"][0].update(label=[1]),
+    "label_repeated": lambda d: d["pieces"][1].update(label=d["pieces"][0]["label"]),
     "collar_kind_int": lambda d: d["collars"]["plus"].update(kind=5),
     "collar_kind_unknown": lambda d: d["collars"]["plus"].update(kind="twisted"),
     "provenance_list": lambda d: d.update(provenance=[1]),

@@ -135,6 +135,26 @@ def mutate(doc, edits):
     return doc
 
 
+@pytest.mark.parametrize("which", range(len(CERTIFICATE_SOURCES)))
+def test_a_repeated_piece_is_a_usage_error(certificates, tmp_path, capsys, which):
+    """Repeating a piece repeats its label: every certificate command exits 2
+    with one error line, and glue takes neither copy."""
+    base, doc = certificates[which]
+    pick = list(paths(doc)).index(("pieces", 0))
+    path = str(tmp_path / "repeated.json")
+    with open(path, "w") as fh:
+        json.dump(mutate(doc, [(pick, "repeat", None)]), fh)
+    for command in (
+        ["bordism", "verify", path],
+        ["glue", path, base, "--along", "plus,minus"],
+        ["glue", base, path, "--along", "plus,minus"],
+    ):
+        capsys.readouterr()
+        assert run(command) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
 @given(
     st.integers(0, len(CERTIFICATE_SOURCES) - 1),
     EDITS,
