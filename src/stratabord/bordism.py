@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, List, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import (
     OrientationAssignment,
@@ -74,7 +74,7 @@ from .strat import (
 class CollarCertificate:
     kind: str  # "product" or "corner"
     # product: pairs (boundary vertex, inward neighbor at the next level);
-    # corner: pairs of corner vertices plus the shared unfolding scheme.
+    # corner: pairs (side vertex, the other end of its I-fibre), both ways.
     data: Tuple[Tuple[int, int], ...]
 
 
@@ -106,65 +106,6 @@ def reverse_certificate(cert: BordismCertificate) -> BordismCertificate:
     Y = dataclasses.replace(cert.Y, orientation=oa)
     pieces = tuple(dataclasses.replace(p, sign=-p.sign) for p in cert.pieces)
     return BordismCertificate(Y, pieces, f"reversed({cert.provenance})")
-
-
-# The corner-unfolding scheme: a square with its upper-right quarter deleted
-# (an L of three unit squares, six triangles) is simplicially homeomorphic to
-# a straight strip; the bent path G-H-E-F-C becomes the flat bottom edge.
-#   A(0,0) B(1,0) C(2,0) D(0,1) E(1,1) F(2,1) G(0,2) H(1,2)
-_A, _B, _C, _D, _E, _F, _G, _H = range(8)
-CORNER_UNFOLDING = {
-    "domain_facets": (
-        (_A, _B, _E),
-        (_A, _D, _E),
-        (_B, _C, _F),
-        (_B, _E, _F),
-        (_D, _E, _H),
-        (_D, _G, _H),
-    ),
-    "domain_coords": {
-        _A: (0, 0), _B: (1, 0), _C: (2, 0), _D: (0, 1),
-        _E: (1, 1), _F: (2, 1), _G: (0, 2), _H: (1, 2),
-    },
-    "strip_coords": {
-        _G: (0, 0), _H: (1, 0), _E: (2, 0), _F: (3, 0), _C: (4, 0),
-        _D: (1, 1), _A: (2, 1), _B: (3, 1),
-    },
-}
-
-
-def _signed_area2(p, q, r) -> int:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def verify_corner_unfolding() -> bool:
-    """The stored unfolding is a simplicial homeomorphism onto a flat strip."""
-    dom, strip = CORNER_UNFOLDING["domain_coords"], CORNER_UNFOLDING["strip_coords"]
-    total_dom = total_strip = 0
-    for t in CORNER_UNFOLDING["domain_facets"]:
-        a_dom = _signed_area2(*(dom[v] for v in t))
-        a_strip = _signed_area2(*(strip[v] for v in t))
-        if a_dom == 0 or a_strip == 0:
-            return False
-        total_dom += abs(a_dom)
-        total_strip += abs(a_strip)
-    # Both embeddings tile a region of area 3 (doubled areas sum to 6).
-    if total_dom != 6 or total_strip != 6:
-        return False
-    # Interior edge coherence: every interior edge lies in exactly two
-    # triangles on opposite sides, in both embeddings.
-    K = build_complex(CORNER_UNFOLDING["domain_facets"])
-    for r, fs in K.ridges.items():
-        if len(fs) != 2:
-            continue
-        for coords in (dom, strip):
-            sides = []
-            for f in fs:
-                apex = next(v for v in f if v not in r)
-                sides.append(_signed_area2(coords[r[0]], coords[r[1]], coords[apex]))
-            if sides[0] * sides[1] >= 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +291,8 @@ def cylinder(FX: FilteredComplex) -> BordismCertificate:
     """The product bordism I × FX with the product stratification.
 
     For a closed FX the boundary splits into a (+) and a (−) copy; with
-    non-empty ∂FX a third "side" piece I × ∂FX appears, with the corner
-    collar certified through the stored unfolding scheme.
+    non-empty ∂FX a third "side" piece I × ∂FX appears, whose corner collar
+    pairs the two ends of each of its I-fibres.
     """
     K = FX.complex
     if K.is_empty():
@@ -575,25 +516,52 @@ class CertificateReport:
     heuristic: bool = False
 
 
+def _staircase(
+    a: Sequence[int], b: Sequence[int], faces: Collection[Simplex]
+) -> Optional[List[Simplex]]:
+    """The simplices of a staircase triangulation of the prism between a and
+    its copy b, all of them in faces, or None.  In a's order, one staircase
+    is {a_0 … a_i, b_i … b_k} for i = 0 … k, and the other swaps a and b.
+    Either holds only if a → b is injective and b, a face of a staircase
+    simplex, is in faces."""
+    for lo, hi in ((a, b), (b, a)):
+        steps = (tuple(sorted(set(lo[: i + 1] + hi[i:]))) for i in range(len(a)))
+        prism = list(itertools.takewhile(lambda s: len(s) == len(a) + 1 and s in faces, steps))
+        if len(prism) == len(a):
+            return prism
+    return None
+
+
 def _spans_prisms(p: BoundaryPiece, faces: Collection[Simplex]) -> bool:
     """Does p's product collar c triangulate the prism σ × I over each facet σ
-    of p by carrier faces?  With a_0 < … < a_k the images of σ's vertices in
-    the piece's order, one staircase is {a_0 … a_i, c(a_i) … c(a_k)} for
-    i = 0 … k and the other swaps a and c(a).  Either holds only if c is
-    injective on σ and c(σ), a face of a staircase simplex, is a carrier face."""
-    c = dict(p.collar.data)
-    for sigma in p.space.complex.facets:
-        a = [p.iso.vertex_map[v] for v in sigma]
-        b = [c[v] for v in a]
-        if not any(
-            all(
-                len(s) == len(a) + 1 and tuple(sorted(s)) in faces
-                for s in (set(lo[: i + 1] + hi[i:]) for i in range(len(a)))
-            )
-            for lo, hi in ((a, b), (b, a))
-        ):
+    of p by carrier faces, as a staircase in the order of σ's images?"""
+    c, vm = dict(p.collar.data), p.iso.vertex_map
+    return all(
+        _staircase(a, [c[v] for v in a], faces) is not None
+        for a in ([vm[v] for v in sigma] for sigma in p.space.complex.facets)
+    )
+
+
+def _spans_corner(p: BoundaryPiece) -> bool:
+    """Is p the cylinder I × L whose I-fibres are the pairs of p's corner
+    collar?  Read in p's own vertex ids, the pairs must be a fixed-point-free
+    involution c; with L = {v : c(v) > v}, p's facets must be exactly the
+    staircase simplices over the facets of p's subcomplex on L."""
+    own = {w: v for v, w in p.iso.vertex_map.items()}
+    if not all(a in own and b in own for a, b in p.collar.data):
+        return False  # a pair leaves the piece
+    c = {own[a]: own[b] for a, b in p.collar.data}
+    if len(c) != len(p.collar.data) or any(b == a or c.get(b) != a for a, b in c.items()):
+        return False
+    K = p.space.complex
+    base = build_complex(f for f in K.faces if all(c.get(v, v) > v for v in f))
+    steps = set()
+    for sigma in base.facets:
+        prism = _staircase(sigma, tuple(c[v] for v in sigma), K.faces)
+        if prism is None:
             return False
-    return True
+        steps.update(prism)
+    return steps == K.facets
 
 
 def verify_certificate(cert: BordismCertificate) -> CertificateReport:
@@ -627,8 +595,9 @@ def verify_certificate(cert: BordismCertificate) -> CertificateReport:
         and (p.collar.kind != "product" or _spans_prisms(p, Yc.faces))
         for p in cert.pieces
     )
+    # A corner collar pairs the two ends of each I-fibre of its piece.
     checks["corner_scheme_valid"] = all(
-        verify_corner_unfolding()
+        _spans_corner(p)
         for p in cert.pieces
         if p.collar is not None and p.collar.kind == "corner"
     )

@@ -11,9 +11,9 @@ They rely on the facets being maximal: `build_complex` makes them so, and
 
 Every ridge-degree check and orientation pass reads one cached ridge index,
 `K.ridges`: each codimension-one face of a facet, mapped to the facets it is
-a codimension-one face of.  Its order is output (the first failing ridge, the
-facet cycle of a non-orientability witness): ridges come in the order first
-met over the sorted facets, and each ridge's facets in sorted order.
+a codimension-one face of.  Its order is output (the first failing ridge):
+ridges come in the order first met over the sorted facets, and each ridge's
+facets in sorted order.
 """
 
 from __future__ import annotations
@@ -385,9 +385,8 @@ def orient(
     """Coherent orientation by sign propagation over facet-ridge adjacency.
 
     The first facet of each component (in sorted order) gets +1 on its sorted
-    vertex order.  Raises NotOrientable with a witness facet cycle when signs
-    conflict, or RidgeDegreeViolation when a non-skipped ridge lies in more
-    than two facets.
+    vertex order.  Raises NotOrientable when signs conflict, or
+    RidgeDegreeViolation when a non-skipped ridge lies in more than two facets.
     """
     return OrientationAssignment(_propagate(K, skip_ridges)[0])
 
@@ -411,13 +410,11 @@ def _propagate(
             adj[fs[0]].append((fs[1], r))
             adj[fs[1]].append((fs[0], r))
     signs: Dict[Simplex, int] = {}
-    parent: Dict[Simplex, Optional[Simplex]] = {}
     root_of: Dict[Simplex, Simplex] = {}
     for root in sorted(K.facets):
         if root in signs:
             continue
         signs[root] = 1
-        parent[root] = None
         root_of[root] = root
         queue = [root]
         while queue:
@@ -426,30 +423,11 @@ def _propagate(
                 forced = -signs[f] * incidence(f, r) * incidence(g, r)
                 if g not in signs:
                     signs[g] = forced
-                    parent[g] = f
                     root_of[g] = root
                     queue.append(g)
                 elif signs[g] != forced:
-                    witness = _facet_cycle(parent, f, g)
-                    raise NotOrientable("complex is not orientable", witness)
+                    raise NotOrientable("complex is not orientable")
     return signs, root_of
-
-
-def _facet_cycle(parent, f, g):
-    """Cycle of facets witnessing an orientation conflict, via tree paths."""
-
-    def path(x):
-        out = [x]
-        while parent[x] is not None:
-            x = parent[x]
-            out.append(x)
-        return out
-
-    pf, pg = path(f), path(g)
-    common = set(pf) & set(pg)
-    cut_f = next(i for i, x in enumerate(pf) if x in common)
-    cut_g = next(i for i, x in enumerate(pg) if x in common)
-    return pf[: cut_f + 1] + list(reversed(pg[:cut_g]))
 
 
 def is_orientable(K: SimplicialComplex) -> bool:

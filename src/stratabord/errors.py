@@ -26,11 +26,7 @@ class RidgeDegreeViolation(StrataError):
 
 
 class NotOrientable(StrataError):
-    """Carries a witness cycle of facets along which signs cannot propagate."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass
 
 
 class MalformedFiltration(StrataError):

@@ -2,8 +2,10 @@
 
 Every emitted document re-parses to an equal value.  Vertices must be
 integers; simplices serialize as sorted integer lists, complexes as facet
-lists, filtrations as facet lists per skeleton.  `dumps` is canonical
-(sorted keys, fixed separators), so equal values serialize byte-identically.
+lists, filtrations as facet lists per skeleton; a filtration without
+`skeleta` is the trivial one, every skeleton below the top empty.  `dumps` is
+canonical (sorted keys, fixed separators), so equal values serialize
+byte-identically.
 Reading is strict: invalid JSON, a top level that is not an object, a missing
 field, a vertex that is not an integer, the empty simplex, a simplex that
 repeats a vertex, an orientation sign other than ±1, an orientation that misses
@@ -14,7 +16,10 @@ a certificate field of the wrong type raise MalformedFiltration.
 A skeleton or boundary simplex outside the carrier raises SimplexNotFound.
 A piece's `iso` must map each vertex of its space exactly once into the
 carrier's vertices, a collar's `kind` is "product" or "corner", and its data
-pairs carrier vertices.
+pairs carrier vertices.  Whether the pairs certify a collar is left to
+`bordism.verify_certificate`: a product collar spans a staircase prism over
+each piece facet, and a corner collar pairs the two ends of each I-fibre of
+its piece, read in the piece's own vertex ids.
 """
 
 from __future__ import annotations
@@ -146,8 +151,9 @@ def filtration_to_json(FX: FilteredComplex) -> Dict[str, Any]:
 def filtration_from_json(doc: Dict[str, Any]) -> FilteredComplex:
     _check_type(doc, "filtered_complex")
     K = _complex_from_facets(_field(doc, "facets"))
+    trivial = [[]] * max(K.dim, 0)
     skeleta = tuple(
-        K.subcomplex(_simplices(sk)) for sk in _optional_field(doc, "skeleta", list, [])
+        K.subcomplex(_simplices(sk)) for sk in _optional_field(doc, "skeleta", list, trivial)
     )
     boundary = doc.get("boundary")
     B = None if boundary is None else K.subcomplex(_simplices(boundary))

@@ -350,20 +350,23 @@ def _memo_on_shape(raw):
     precondition too: the intrinsic stratification is determined by K and
     found by the memoized recognisers, `ensure_full` stars simplices in
     lexicographic order, and the groups and the flag name no vertex.
+
+    The table is the wrapper's `memo` attribute, and a miss calls the routine
+    through `__wrapped__`.
     """
-    memo: Dict[tuple, Tuple[object, bool]] = {}
 
     @functools.wraps(raw)
     def cached(K: SimplicialComplex, flag: Optional[_Flag] = None, *args):
         key = (_shape(K), *args)
-        hit = memo.get(key)
+        hit = cached.memo.get(key)
         if hit is None:
             local = _Flag()
-            hit = memo[key] = (raw(K, local, *args), local.heuristic)
+            hit = cached.memo[key] = (cached.__wrapped__(K, local, *args), local.heuristic)
         if hit[1] and flag is not None:
             flag.heuristic = True
         return hit[0]
 
+    cached.memo = {}  # key -> (answer, flag)
     return cached
 
 

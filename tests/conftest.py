@@ -39,21 +39,19 @@ def record_raw_calls(monkeypatch, memoized):
     """A list to which each call of a `strat._memo_on_shape` routine past its
     memo appends its arguments after the flag, K first."""
     raw = memoized.__wrapped__
-    cell = next(c for c in memoized.__closure__ if c.cell_contents is raw)
     calls = []
 
     def recording(K, flag, *args):
         calls.append((K, *args))
         return raw(K, flag, *args)
 
-    monkeypatch.setattr(cell, "cell_contents", recording)
+    monkeypatch.setattr(memoized, "__wrapped__", recording)
     return calls
 
 
 def empty_memo(monkeypatch, memoized):
     """Start a `strat._memo_on_shape` routine from an empty memo."""
-    cell = next(c for c in memoized.__closure__ if isinstance(c.cell_contents, dict))
-    monkeypatch.setattr(cell, "cell_contents", {})
+    monkeypatch.setattr(memoized, "memo", {})
 
 
 def cones_with_boundary(entries, names=("S1", "S2", "T2", "Sigma-S1")):

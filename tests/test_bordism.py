@@ -13,7 +13,6 @@ from stratabord.algebra import ZZ, homology
 from stratabord.cli import run
 from stratabord.bordism import (
     _PATH3,
-    CORNER_UNFOLDING,
     _face_split,
     bordism_between_stratifications,
     bordism_to_intrinsic,
@@ -24,7 +23,6 @@ from stratabord.bordism import (
     reverse_certificate,
     stratified_isomorphism,
     verify_certificate,
-    verify_corner_unfolding,
 )
 from stratabord.complexes import (
     OrientationAssignment,
@@ -50,11 +48,6 @@ from stratabord.strat import (
     trivial_filtration,
     validate_stratified_pseudomanifold,
 )
-
-
-def test_corner_unfolding_scheme_is_valid():
-    assert verify_corner_unfolding()
-    assert len(CORNER_UNFOLDING["domain_facets"]) == 6
 
 
 def test_bordism_to_intrinsic_small(entries):
@@ -327,6 +320,98 @@ def test_non_injective_product_collar_fails_on_cylinders(name, entries):
     # The forged pairs are still carrier edges: only the prisms tell.
     Yc = cert.Y.complex
     assert all((min(a, b), max(a, b)) in Yc.faces for a, b in bad.piece("plus").collar.data)
+
+
+def _glued_with_sides(cert):
+    """cert glued to itself along (plus, minus) and (minus, plus), and to its
+    reverse along (plus, plus): each keeps both side pieces."""
+    return [
+        glue(cert, cert, ("plus", "minus")),
+        glue(cert, cert, ("minus", "plus")),
+        glue(cert, reverse_certificate(cert), ("plus", "plus")),
+    ]
+
+
+def test_glued_cylinders_keep_verified_side_pieces(entries):
+    for FX in cones_with_boundary(entries):
+        for g in _glued_with_sides(cylinder(FX)):
+            rep = verify_certificate(g)
+            assert rep.passed, (g.provenance, rep.checks)
+            assert [p.label for p in g.pieces if p.collar.kind == "corner"] == ["side", "side'"]
+
+
+def _remark_as_corner(cert):
+    """cert with its plus and minus collars marked "corner": their pairs
+    leave their pieces."""
+    return dataclasses.replace(
+        cert,
+        pieces=tuple(
+            dataclasses.replace(p, collar=dataclasses.replace(p.collar, kind="corner"))
+            if p.label in ("plus", "minus")
+            else p
+            for p in cert.pieces
+        ),
+    )
+
+
+def _repair_corner(cert, label, partners):
+    """cert with the corner collar of piece label re-pairing the piece's own
+    vertices as partners says.  Piece vertex 2i + t is (x_i, t), with x_0 and
+    x_1 the first two boundary vertices, adjacent on every space used here."""
+    piece = cert.piece(label)
+    vm = piece.iso.vertex_map
+    c = dict(piece.collar.data)
+    c.update({vm[v]: vm[w] for v, w in partners.items()})
+    collar = bordism.CollarCertificate("corner", tuple(sorted(c.items())))
+    pieces = tuple(
+        dataclasses.replace(p, collar=collar) if p.label == label else p for p in cert.pieces
+    )
+    return dataclasses.replace(cert, pieces=pieces)
+
+
+# Each keeps every pair a carrier edge, so that only the corner check tells.
+CORNER_REPAIRS = {
+    # (x_0, 0) and (x_1, 1) swap partners: two level edges, no involution
+    "swapped": {0: 2, 3: 1},
+    # (x_1, 1) paired along the diagonal with (x_0, 0): no involution
+    "diagonal": {3: 0},
+}
+
+
+SEGMENT = dataclasses.replace(
+    trivial_filtration(build_complex([(0, 1), (1, 2)])), boundary=build_complex([(0,), (2,)])
+)
+
+
+def _corner_forgeries(entries):
+    cones = cones_with_boundary(entries)[:3]
+    sides = [(cylinder(FX), "side") for FX in cones] + [
+        (g, label) for g in _glued_with_sides(cylinder(cones[0])) for label in ("side", "side'")
+    ]
+    return [
+        ("remarked", _remark_as_corner(cylinder(SEGMENT))),
+        ("remarked", _remark_as_corner(cylinder(cones[0]))),
+        *(
+            (name, _repair_corner(cert, label, partners))
+            for name, partners in CORNER_REPAIRS.items()
+            for cert, label in sides
+        ),
+    ]
+
+
+def test_forged_corner_collar_fails_verification(entries, tmp_path, capsys):
+    for name, bad in _corner_forgeries(entries):
+        rep = verify_certificate(bad)
+        assert [k for k, ok in rep.checks.items() if not ok] == ["corner_scheme_valid"], name
+        Yc = bad.Y.complex
+        assert all(
+            (min(a, b), max(a, b)) in Yc.faces for p in bad.pieces for a, b in p.collar.data
+        )
+        path = tmp_path / "forged.json"
+        jsonio.write_file(str(path), jsonio.certificate_to_json(bad))
+        capsys.readouterr()
+        assert run(["bordism", "verify", str(path)]) == 1
+        assert "corner_scheme_valid: FAIL" in capsys.readouterr().out
 
 
 def _old_bordism_skeleta(FX):

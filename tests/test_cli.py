@@ -190,6 +190,66 @@ def test_bordism_roundtrip_through_files(tmp_path, capsys):
     assert run(["bordism", "verify", str(cert_path)]) == 0
 
 
+
+
+def test_a_document_without_skeleta_is_trivially_filtered(tmp_path, capsys):
+    path = tmp_path / "segment.json"
+    doc = {"type": "filtered_complex", "facets": [[0, 1], [1, 2]], "boundary": [[0], [2]]}
+    path.write_text(json.dumps(doc))
+    code, out = run_capture(capsys, ["validate", str(path), "--with-boundary"])
+    assert code == 0
+    assert out.splitlines()[:2] == ["validate (with-boundary): PASS", "  clause (a): ok"]
+
+
+def _remark_as_corner(doc):
+    for label in ("plus", "minus"):
+        doc["collars"][label]["kind"] = "corner"
+
+
+def _repair_side(partners):
+    """Re-pair the side piece's own vertices as partners says; vertex 2i + t
+    of the triangle's side piece is (i, t)."""
+
+    def forge(doc):
+        iso = dict(next(p["iso"] for p in doc["pieces"] if p["label"] == "side"))
+        data = doc["collars"]["side"]["data"]
+        pairs = dict(map(tuple, data))
+        pairs.update({iso[v]: iso[w] for v, w in partners.items()})
+        data[:] = sorted(map(list, pairs.items()))
+
+    return forge
+
+
+TRIANGLE = {"facets": [[0, 1, 2]], "skeleta": [[], []], "boundary": [[0, 1], [0, 2], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "space, forge",
+    [
+        ({"facets": [[0, 1], [1, 2]], "skeleta": [[]], "boundary": [[0], [2]]}, _remark_as_corner),
+        # (0, 0) and (1, 1) swap partners: two level edges
+        (TRIANGLE, _repair_side({0: 2, 3: 1})),
+        # (1, 1) paired along the diagonal with (0, 0)
+        (TRIANGLE, _repair_side({3: 0})),
+    ],
+    ids=["remarked", "swapped", "diagonal"],
+)
+def test_bordism_verify_rejects_a_forged_corner_collar(space, forge, tmp_path, capsys):
+    path, cert = tmp_path / "space.json", tmp_path / "cylinder.json"
+    path.write_text(json.dumps({"type": "filtered_complex", **space}))
+    assert run(["bordism", "cylinder", str(path), "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    forge(doc)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out = run_capture(capsys, ["bordism", "verify", str(cert)])
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "bordism verify: FAIL",
+        "  corner_scheme_valid: FAIL",
+    ]
+
+
 def test_bordism_verify_rejects_incoherent_carrier(tmp_path, capsys):
     cert_path, bad_path = tmp_path / "cert.json", tmp_path / "bad.json"
     assert run(["bordism", "to-intrinsic", "catalog:Sigma-T2", "--out", str(cert_path)]) == 0

@@ -6,6 +6,7 @@ from stratabord import catalog, jsonio
 from stratabord.bordism import bordism_to_intrinsic, cylinder, verify_certificate
 from stratabord.complexes import EMPTY, build_complex
 from stratabord.errors import MalformedFiltration
+from stratabord.strat import trivial_filtration, validate_stratified_pseudomanifold
 
 
 def test_complex_roundtrip():
@@ -36,6 +37,17 @@ def test_filtration_roundtrip_with_boundary():
     back = jsonio.filtration_from_json(jsonio.filtration_to_json(FX))
     assert back.boundary.facets == FX.boundary.facets
 
+
+
+@pytest.mark.parametrize("facets", [[(0, 1), (1, 2)], [(0, 1, 2), (0, 2, 3)], [(0,), (1,)], []])
+def test_omitted_skeleta_give_the_trivial_filtration(facets):
+    K = build_complex(facets)
+    doc = {"type": "filtered_complex", "facets": [list(f) for f in facets]}
+    back = jsonio.filtration_from_json(doc)
+    assert back.same_filtration(trivial_filtration(K))
+    assert jsonio.filtration_to_json(back) == jsonio.filtration_to_json(trivial_filtration(K))
+    clause_a = validate_stratified_pseudomanifold(back, "closed").clauses[0]
+    assert clause_a.clause == "a" and clause_a.passed
 
 def test_certificate_roundtrip_and_reverify():
     cert = bordism_to_intrinsic(catalog.get("Sigma-T2").stratifications[0])
