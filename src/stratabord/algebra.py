@@ -372,13 +372,6 @@ class HomologyGroup:
     rank: int
     torsion: Tuple[int, ...] = ()
 
-    def __str__(self):
-        parts = []
-        if self.rank:
-            parts.append("Z" if self.rank == 1 else f"Z^{self.rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
 
 def boundary_matrix(
     K: SimplicialComplex,

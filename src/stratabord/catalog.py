@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
-from ._rp3_data import RP3_FACETS
 from .complexes import (
     SimplicialComplex,
+    barycentric_subdivision,
     build_complex,
-    is_orientable,
     orient,
     product,
     suspension,
@@ -27,6 +26,7 @@ from .errors import UnknownName
 from .strat import (
     FilteredComplex,
     make_filtered,
+    octahedral_sphere,
     trivial_filtration,
 )
 
@@ -77,8 +77,22 @@ def projective_plane() -> SimplicialComplex:
 
 
 def projective_space3() -> SimplicialComplex:
-    """A 40-vertex triangulation of ℝP³ from a frozen facet list."""
-    return build_complex(RP3_FACETS)
+    """A 40-vertex triangulation of ℝP³, built as the antipodal quotient of
+    the barycentric subdivision of the boundary of the 4-cross-polytope.
+
+    The cross-polytope's vertices are renumbered so that v and v + 4 are
+    antipodal.  Each antipodal pair of faces becomes one vertex, numbered at
+    its first face in the subdivision's (length, face) order; the quotient
+    has 192 facets and f-vector (40, 232, 384, 192).
+    """
+    S = octahedral_sphere(4).relabel({v: v // 2 + 4 * (v % 2) for v in range(8)})
+    B, provenance = barycentric_subdivision(S)
+    pair: Dict[Tuple[int, ...], int] = {}
+    for i in sorted(provenance):
+        f = provenance[i]
+        if f not in pair:
+            pair[f] = pair[tuple(sorted((v + 4) % 8 for v in f))] = len(pair) // 2
+    return build_complex([pair[provenance[v]] for v in s] for s in B.facets)
 
 
 def torus3() -> SimplicialComplex:
@@ -87,9 +101,9 @@ def torus3() -> SimplicialComplex:
     return product(product(c, c), c)
 
 
-def _manifold_strats(K: SimplicialComplex) -> Tuple[FilteredComplex, ...]:
+def _manifold_strats(K: SimplicialComplex, orientable: bool) -> Tuple[FilteredComplex, ...]:
     """Trivial filtration plus a refinement with one extra regular 0-stratum."""
-    oa = orient(K) if is_orientable(K) else None
+    oa = orient(K) if orientable else None
     plain = trivial_filtration(K, orientation=oa)
     if K.dim < 2:
         return (plain,)
@@ -98,11 +112,12 @@ def _manifold_strats(K: SimplicialComplex) -> Tuple[FilteredComplex, ...]:
     return (plain, refined)
 
 
-def _suspension_strats(K: SimplicialComplex) -> Tuple[FilteredComplex, ...]:
-    """Poles-only filtration and poles plus an extra regular 0-stratum."""
+def _suspension_strats(K: SimplicialComplex, orientable: bool) -> Tuple[FilteredComplex, ...]:
+    """Poles-only filtration and poles plus an extra regular 0-stratum; ΣK
+    is orientable exactly when K is."""
     SK = suspension(K)
     north, south = suspension_poles(K)
-    oa = orient(SK) if is_orientable(SK) else None
+    oa = orient(SK) if orientable else None
     poles = make_filtered(SK, {0: [(north,), (south,)]}, orientation=oa)
     v0 = min(K.vertices)
     refined = make_filtered(SK, {0: [(north,), (south,), (v0,)]}, orientation=oa)
@@ -195,16 +210,14 @@ def _build(name: str) -> CatalogEntry:
     if name in _BASE_SPECS:
         make, table, orientable, desc = _BASE_SPECS[name]
         K = make()
-        strats = _manifold_strats(K)
+        strats = _manifold_strats(K, orientable)
         expected = dict(_MANIFOLD_CLASSES)
     elif name in _SUSPENSION_CLASSES:
         base = name[len("Sigma-") :]
-        make, base_table, _, base_desc = _BASE_SPECS[base]
-        B = make()
-        K = suspension(B)
+        make, base_table, orientable, base_desc = _BASE_SPECS[base]
+        strats = _suspension_strats(make(), orientable)
+        K = strats[0].complex
         table = _suspension_table(base_table)
-        orientable = is_orientable(K)
-        strats = _suspension_strats(B)
         expected = dict(_SUSPENSION_CLASSES[name])
         desc = f"suspension of the {base_desc}"
     else:

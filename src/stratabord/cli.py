@@ -182,6 +182,13 @@ def _homology_table(groups) -> list:
     ]
 
 
+def _group_text(g, ring) -> str:
+    """A group as text, its free part named by the ring it was computed over."""
+    parts = [str(ring) if g.rank == 1 else f"{ring}^{g.rank}"] if g.rank else []
+    parts += [f"Z/{d}" for d in g.torsion]
+    return " + ".join(parts) or "0"
+
+
 def _cmd_homology(args) -> int:
     FX, digest = _load_space(args.space)
     ring = algebra.parse_ring(args.ring)
@@ -195,7 +202,7 @@ def _cmd_homology(args) -> int:
         "euler": FX.complex.euler_characteristic(),
     }
     lines = [f"homology over {ring}" + (" (reduced)" if args.reduced else "")]
-    lines += [f"  H_{i} = {g}" for i, g in enumerate(groups)]
+    lines += [f"  H_{i} = {_group_text(g, ring)}" for i, g in enumerate(groups)]
     _emit(report, args, lines)
     return 0
 

@@ -770,24 +770,23 @@ def validate_stratified_pseudomanifold(
     if not all(c.passed for c in clauses):
         return ValidationReport(mode, False, tuple(clauses), flag.heuristic)
 
-    # Ridge degrees: interior ridges in two facets, boundary ridges in one.
+    # Ridge degrees: interior ridges in two facets, boundary ridges in one
+    # (none when closed, whatever the document designates as boundary).
     boundary = FX.boundary if FX.boundary is not None else EMPTY
-    ok_ridge, det_ridge = True, ""
+    det_ridge = ""
     for r, fs in K.ridges.items():
-        if len(fs) > 2:
-            ok_ridge, det_ridge = False, f"ridge {r} lies in {len(fs)} facets"
-            break
-        if len(fs) == 1:
-            if mode == "closed" or r not in boundary.faces:
-                ok_ridge, det_ridge = False, f"ridge {r} is free but not boundary"
-                break
-        elif r in boundary.faces:
-            ok_ridge, det_ridge = False, f"boundary ridge {r} is interior"
+        if len(fs) > 2 or (len(fs) == 1 and mode == "closed"):
+            det_ridge = f"ridge {r} lies in {len(fs)} facets"
+        elif len(fs) == 1 and r not in boundary.faces:
+            det_ridge = f"ridge {r} is free but not boundary"
+        elif len(fs) == 2 and r in boundary.faces:
+            det_ridge = f"boundary ridge {r} is interior"
+        if det_ridge:
             break
 
     # (e) stratum manifoldness via link checks
     all_strata = strata(FX)
-    ok_e, det_e, collar = ok_ridge, det_ridge, {}
+    ok_e, det_e, collar = not det_ridge, det_ridge, {}
     if ok_e:
         ok_e, det_e, collar = _check_stratum_links(FX, all_strata, boundary, flag)
     clauses.append(ClauseResult("e", ok_e, det_e))

@@ -3,6 +3,9 @@ data.  `catalog.get` builds and caches; the stored Euler characteristics,
 homology tables and orientability, and every shipped stratification, are
 checked here against what the library computes."""
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import empty_memo, record_raw_calls
@@ -62,6 +65,15 @@ def test_basic_entries(entries):
     assert entries["RP3"].homology[1] == (0, (2,))
     assert not entries["RP2"].orientable
     assert entries["RP3"].orientable
+
+
+def test_projective_space3_is_pinned(entries):
+    """ℝP³ is built from the cross-polytope, not stored: the digest of its
+    facets keeps the subdivision's vertex numbering from drifting."""
+    K = entries["RP3"].complex
+    assert [len(K.faces_of_dim(d)) for d in range(4)] == [40, 232, 384, 192]
+    digest = hashlib.sha256(json.dumps(sorted(map(list, K.facets))).encode()).hexdigest()
+    assert digest[:16] == "7f19f9d664bcb11c"
 
 
 def test_torus3_is_a_product_triangulation(entries):

@@ -75,6 +75,20 @@ def test_homology_report(capsys):
     assert doc["euler"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["catalog:RP3"], ["homology over Z", "  H_0 = Z", "  H_1 = Z/2", "  H_2 = 0", "  H_3 = Z"]),
+        (["catalog:RP3", "--ring", "F2"], ["homology over F2"] + [f"  H_{i} = F2" for i in range(4)]),
+        (["catalog:T2", "--ring", "Q"], ["homology over Q", "  H_0 = Q", "  H_1 = Q^2", "  H_2 = Q"]),
+    ],
+)
+def test_homology_text_names_the_ring(capsys, argv, lines):
+    code, out = run_capture(capsys, ["homology", *argv])
+    assert code == 0
+    assert out.splitlines() == lines
+
+
 def test_ih_report(capsys):
     code, out = run_capture(
         capsys,
@@ -199,6 +213,18 @@ def test_a_document_without_skeleta_is_trivially_filtered(tmp_path, capsys):
     code, out = run_capture(capsys, ["validate", str(path), "--with-boundary"])
     assert code == 0
     assert out.splitlines()[:2] == ["validate (with-boundary): PASS", "  clause (a): ok"]
+
+
+def test_validate_closed_words_a_free_boundary_ridge_as_a_ridge_degree(tmp_path, capsys):
+    path = tmp_path / "segment.json"
+    doc = {"type": "filtered_complex", "facets": [[0, 1], [1, 2]], "skeleta": [[]], "boundary": [[0], [2]]}
+    path.write_text(json.dumps(doc))
+    code, out = run_capture(capsys, ["validate", str(path)])
+    assert code == 1
+    assert "  clause (e): FAIL ridge (0,) lies in 1 facets" in out.splitlines()
+    # the wording `stratify` gives the same document
+    assert run(["stratify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: ridge (0,) lies in 1 facets\n"
 
 
 def _remark_as_corner(doc):

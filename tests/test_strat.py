@@ -794,6 +794,18 @@ def test_a_boundary_must_miss_the_zero_skeleton():
     ).passed
 
 
+def test_a_free_ridge_is_worded_by_mode():
+    # Closed mode allows no free ridge, even one the document lists as
+    # boundary; with-boundary mode names a free ridge outside the boundary.
+    K = build_complex([(0, 1), (1, 2)])
+    for boundary in ([(0,), (2,)], [(2,)], None):
+        rep = validate_stratified_pseudomanifold(make_filtered(K, {}, boundary), "closed")
+        assert _failing_details(rep) == [("e", "ridge (0,) lies in 1 facets")]
+    rep = validate_stratified_pseudomanifold(make_filtered(K, {}, [(0,)]), "with-boundary")
+    assert _failing_details(rep) == [("e", "ridge (2,) is free but not boundary")]
+    assert validate_stratified_pseudomanifold(make_filtered(K, {}, [(0,), (2,)]), "with-boundary").passed
+
+
 def test_strata_are_computed_once_per_filtration(entries):
     FX = entries["Sigma-T2"].stratifications[0]
     first = strata(FX)
