@@ -4,27 +4,28 @@ Boundary matrices, sparse integer Smith normal form with transformation
 certificates, ranks over ℤ, ℚ and prime fields, kernels, exact solves and
 simplicial homology with torsion.  All arithmetic is exact (Python integers).
 
-One elimination kernel, `_eliminate`, serves every ring: it walks the
-columns, eliminates unit pivots (±1 over ℤ, any nonzero entry mod p) and,
-over ℤ, hands the non-unit residual to a small Smith form that records pivot
-positions instead of swapping (the reduce-then-Smith scheme of Dumas,
-Heckenbach, Saunders and Welker).  Ranks over ℚ are ranks over ℤ.  With
-tracking on, it also keeps the certificates U (by rows) and V (by columns)
-used by `smith_normal_form`, which checks U·M·V = diag(d), `kernel_basis`
-and `solve_exact`.
+One elimination kernel, `_eliminate`, serves every ring: it reads a matrix
+as its shape and one iterable of entries, walks the columns, eliminates unit
+pivots (±1 over ℤ, any nonzero entry mod p) and, over ℤ, hands the non-unit
+residual to a small Smith form that records pivot positions instead of
+swapping (the reduce-then-Smith scheme of Dumas, Heckenbach, Saunders and
+Welker).  Ranks over ℚ are ranks over ℤ.  With tracking on, it also keeps
+the certificates U (by rows) and V (by columns) used by `smith_normal_form`,
+which checks U·M·V = diag(d), `kernel_basis` and `solve_exact`.
 
 With rows F pivoted first, `_eliminate` gives the rank of F and the
 invariant factors of the other rows on ker F.  Homology of the chains on a
 set of cells with boundary on the cells (`homology_of_allowable_chains`,
 plain homology with every face a cell, IH with the allowable simplices)
 runs one loop, `_reduce`, from the top degree down, and clears (Chen–Kerber,
-*Persistent homology computation with a twist*).
+*Persistent homology computation with a twist*).  Its boundaries reach
+`_eliminate` as generated entries, so no copy of a boundary is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .complexes import Simplex, SimplicialComplex
 from .errors import DimensionOutOfRange, UnsupportedCoefficients
@@ -166,10 +167,9 @@ class _Reduction(NamedTuple):
     V: Optional[SparseMatrix]
 
 
-def _eliminate(
-    M: SparseMatrix, p: Optional[int] = None, track: bool = False, first: frozenset = frozenset()
-) -> _Reduction:
-    """The elimination kernel over ℤ (p None) or 𝔽ₚ.
+def _eliminate(nrows, ncols, entries, p=None, track=False, first=frozenset()) -> _Reduction:
+    """The elimination kernel over ℤ (p None) or 𝔽ₚ, on the nrows × ncols
+    matrix M with the ((row, column), value) pairs `entries`, read once.
 
     Walking the columns in order, a unit entry of the column (±1 over ℤ, any
     nonzero entry mod p) in the shortest row becomes a pivot: row operations
@@ -198,16 +198,16 @@ def _eliminate(
     """
     rows: Dict[int, Dict[int, int]] = {}
     cols: Dict[int, set] = {}
-    for (r, c), v in M.entries.items():
+    for (r, c), v in entries:
         if p:
             v %= p
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
-    U = {r: {r: 1} for r in range(M.nrows)} if track else None
-    V = {c: {c: 1} for c in range(M.ncols)} if track else None
+    U = {r: {r: 1} for r in range(nrows)} if track else None
+    V = {c: {c: 1} for c in range(ncols)} if track else None
     pivots: List[Tuple[int, int, int]] = []
-    for c in range(M.ncols):
+    for c in range(ncols):
         col = cols.get(c)
         if not col:
             continue
@@ -237,10 +237,10 @@ def _eliminate(
         blocks: Tuple[dict, dict] = ({}, {})
         for r, row in rows.items():
             blocks[r in first].update(((r, c), v) for c, v in row.items())
-        G, F = (SparseMatrix(M.nrows, M.ncols, b) for b in blocks)
+        G, F = (SparseMatrix(nrows, ncols, b) for b in blocks)
         B = kernel_basis(F)
         diag = [1] * (len(unit_rows) - first_rank) + invariant_factors(G.times(B))
-        return _Reduction(diag, unit_rows, first_rank + M.ncols - B.ncols, None, None)
+        return _Reduction(diag, unit_rows, first_rank + ncols - B.ncols, None, None)
     if rows:
         pivots += _smith_residual(rows, cols, U, V)
     diag = [abs(v) for r, _c, v in pivots if r not in first]
@@ -248,17 +248,17 @@ def _eliminate(
         return _Reduction(diag, unit_rows, first_rank, None, None)
     sign = {r: 1 if v > 0 else -1 for r, _c, v in pivots}
     order_r = [r for r, _c, _v in pivots]
-    order_r += sorted(set(range(M.nrows)) - set(order_r))
+    order_r += sorted(set(range(nrows)) - set(order_r))
     order_c = [c for _r, c, _v in pivots]
-    order_c += sorted(set(range(M.ncols)) - set(order_c))
+    order_c += sorted(set(range(ncols)) - set(order_c))
     Um = SparseMatrix(
-        M.nrows,
-        M.nrows,
+        nrows,
+        nrows,
         {(i, j): sign.get(r, 1) * w for i, r in enumerate(order_r) for j, w in U[r].items()},
     )
     Vm = SparseMatrix(
-        M.ncols,
-        M.ncols,
+        ncols,
+        ncols,
         {(j, i): w for i, c in enumerate(order_c) for j, w in V[c].items()},
     )
     return _Reduction(diag, unit_rows, first_rank, Um, Vm)
@@ -323,7 +323,7 @@ def _smith_residual(rows, cols, U=None, V=None) -> List[Tuple[int, int, int]]:
 
 def smith_normal_form(M: SparseMatrix):
     """Invariant factors d₁|d₂|… plus certificates (U, V) with U·M·V = diag(d)."""
-    diag, _units, _first, U, V = _eliminate(M, track=True)
+    diag, _units, _first, U, V = _eliminate(M.nrows, M.ncols, M.entries.items(), track=True)
     D = U.times(M).times(V)
     expect = {(i, i): d for i, d in enumerate(diag)}
     if D.entries != expect:
@@ -333,16 +333,16 @@ def smith_normal_form(M: SparseMatrix):
 
 def invariant_factors(M: SparseMatrix) -> List[int]:
     """Nonzero invariant factors d₁|d₂|… of M, without certificates."""
-    return _eliminate(M).diag
+    return _eliminate(M.nrows, M.ncols, M.entries.items()).diag
 
 
 def rank_over(M: SparseMatrix, ring: Ring) -> int:
-    return len(_eliminate(M, ring.p).diag)
+    return len(_eliminate(M.nrows, M.ncols, M.entries.items(), ring.p).diag)
 
 
 def kernel_basis(M: SparseMatrix) -> SparseMatrix:
     """Basis (as columns) of the integer kernel of M; saturated by construction."""
-    diag, _units, _first, _U, V = _eliminate(M, track=True)
+    diag, _units, _first, _U, V = _eliminate(M.nrows, M.ncols, M.entries.items(), track=True)
     r = len(diag)
     entries = {(row, col - r): v for (row, col), v in V.entries.items() if col >= r}
     return SparseMatrix(M.ncols, M.ncols - r, entries)
@@ -350,7 +350,7 @@ def kernel_basis(M: SparseMatrix) -> SparseMatrix:
 
 def solve_exact(K: SparseMatrix, B: SparseMatrix) -> SparseMatrix:
     """Solve K·X = B over ℤ where K has full column rank; raises if unsolvable."""
-    diag, _units, _first, U, V = _eliminate(K, track=True)
+    diag, _units, _first, U, V = _eliminate(K.nrows, K.ncols, K.entries.items(), track=True)
     r = len(diag)
     if r != K.ncols:
         raise ValueError("matrix does not have full column rank")
@@ -390,36 +390,40 @@ def boundary_matrix(
         rows = K.faces_of_dim(i - 1) if i > 0 else []
     if cols is None:
         cols = K.faces_of_dim(i)
+    return SparseMatrix(len(rows), len(cols), dict(_boundary_entries(cols, rows)))
+
+
+def _boundary_entries(cols: List[Simplex], rows: List[Simplex]) -> Iterator[tuple]:
+    """The ((row, column), ±1) entries of the boundary from `cols` to `rows`."""
     row_index = {s: j for j, s in enumerate(rows)}
-    entries = {}
     for c, s in enumerate(cols):
         for j in range(len(s)):
             r = row_index.get(s[:j] + s[j + 1 :])
             if r is not None:
-                entries[(r, c)] = (-1) ** j
-    return SparseMatrix(len(rows), len(cols), entries)
+                yield (r, c), (-1) ** j
 
 
 def _reduce(dims: List[int], boundary, ring: Ring) -> List[HomologyGroup]:
     """Homology of a free chain complex with dims[i] generators in degree i.
 
-    boundary(i, drop) builds ∂_i without the columns in `drop` and returns
-    it with its rows F to pivot first; its other rows G index the columns of
-    ∂_{i−1}.  The chains are those with ∂ off F: H_i has rank dims[i] −
-    rank ∂_i − rank(G_{i+1} on ker F_{i+1}), over ℤ with the torsion of the
-    latter.  Clearing: ∂_{i−1} drops the rows R of the unit pivots of ∂_i in
-    G.  The pivot block is unimodular and the other rows vanish on its
-    columns, so each r ∈ R has an integral z with F z = 0 and G z = e_r + y,
-    y off R up to r; by ∂∂z = 0 and induction from the last pivot, ∂e_r is
-    in the span of the columns off R.  So ∂_{i−1} keeps its image lattice:
-    its rank, the rank of F_{i−1} and the lattice of G_{i−1} on ker F_{i−1}.
+    boundary(i, drop) gives the shape and the entries of ∂_i without the
+    columns in `drop`, and its rows F to pivot first; its other rows G index
+    the columns of ∂_{i−1}.  The chains are those with ∂ off F: H_i has rank
+    dims[i] − rank ∂_i − rank(G_{i+1} on ker F_{i+1}), over ℤ with the
+    torsion of the latter.  Clearing: ∂_{i−1} drops the rows R of the unit
+    pivots of ∂_i in G.  The pivot block is unimodular and the other rows
+    vanish on its columns, so each r ∈ R has an integral z with F z = 0 and
+    G z = e_r + y, y off R up to r; by ∂∂z = 0 and induction from the last
+    pivot, ∂e_r is in the span of the columns off R.  So ∂_{i−1} keeps its
+    image lattice: its rank, the rank of F_{i−1} and the lattice of G_{i−1}
+    on ker F_{i−1}.
     """
     top = len(dims) - 1
     reds = [_Reduction([], [], 0, None, None)] * (top + 2)
     drop: set = set()
     for i in range(top, 0, -1):
-        M, first = boundary(i, drop)
-        reds[i] = _eliminate(M, ring.p, first=first)
+        nrows, ncols, entries, first = boundary(i, drop)
+        reds[i] = _eliminate(nrows, ncols, entries, ring.p, first=first)
         drop = {r for r in reds[i].unit_rows if r not in first}
     out = []
     for i in range(top + 1):
@@ -437,8 +441,8 @@ def homology_of_chain_complex(
 
     def boundary(i, drop):
         M = boundaries[i] or SparseMatrix(0, 0, {})
-        kept = {rc: v for rc, v in M.entries.items() if rc[1] not in drop}
-        return SparseMatrix(M.nrows, M.ncols, kept), frozenset()
+        kept = ((rc, v) for rc, v in M.entries.items() if rc[1] not in drop)
+        return M.nrows, M.ncols, kept, frozenset()
 
     return _reduce(dims, boundary, ring)
 
@@ -454,7 +458,8 @@ def homology_of_allowable_chains(
         good = set(cells[i - 1])
         rows = cells[i - 1] + [s for s in K.faces_of_dim(i - 1) if s not in good]
         cols = [s for j, s in enumerate(cells[i]) if j not in drop]
-        return boundary_matrix(K, i, cols, rows), frozenset(range(len(good), len(rows)))
+        first = frozenset(range(len(good), len(rows)))
+        return len(rows), len(cols), _boundary_entries(cols, rows), first
 
     return _reduce([len(c) for c in cells], boundary, ring)
 

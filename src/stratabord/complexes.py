@@ -112,7 +112,8 @@ class SimplicialComplex:
         return len({len(f) for f in self.facets}) == 1
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(self.faces_of_dim(d)) for d in range(self.dim + 1))
+        counts = collections.Counter(map(len, self.faces))
+        return sum((-1) ** (n - 1) * k for n, k in counts.items())
 
     def subcomplex(self, generators: Iterable[Simplex]) -> "SimplicialComplex":
         """The subcomplex generated by the given simplices (closure under faces)."""

@@ -11,8 +11,8 @@ settles most links without homology; homology is the fallback when the
 collapse gets stuck.  The verdict and the flag are the same on both routes.
 Recognition, and the middle intersection homology behind the Witt, IP and
 S-duality classes (`classes._middle_ih`, keyed also on the ring), are memoized
-per shape (the facets renumbered in vertex order), which is exact: every answer
-and flag is an isomorphism invariant naming no vertex.
+per shape (the facets renumbered in vertex order, packed into bytes), which is
+exact: every answer and flag is an isomorphism invariant naming no vertex.
 
 Strata come from the minimal open faces.  Call a face of X^j − X^{j−1} open;
 it is minimal when its codimension-one faces all lie in X^{j−1}.  A face of X^j
@@ -25,6 +25,7 @@ of them, each consecutive pair in a common facet of X^j, connects them.
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -331,15 +332,26 @@ class _Flag:
         self.heuristic = False
 
 
-def _shape(K: SimplicialComplex) -> FrozenSet[Simplex]:
-    """K.facets with K.vertices renumbered 0, 1, 2, … in order."""
-    rank = dict(zip(K.vertices, range(len(K.vertices)))).__getitem__
-    return frozenset(tuple(map(rank, f)) for f in K.facets)
+def _shape(K: SimplicialComplex) -> bytes:
+    """K.facets with K.vertices renumbered 1, 2, 3, … in order, as an exact
+    key: on 1 to 254 vertices the facets as bytes, sorted and joined by zero
+    bytes; else a zero byte, then each sorted facet as `array("I")` after its
+    length.  A narrow key never starts with 0, so the two forms never meet."""
+    n = len(K.vertices)
+    rank = dict(zip(K.vertices, range(1, n + 1))).__getitem__
+    if 0 < n < 255:
+        return b"\0".join(sorted(bytes(map(rank, f)) for f in K.facets))
+    wide = array("I")
+    for f in sorted(tuple(map(rank, f)) for f in K.facets):
+        wide.append(len(f))
+        wide.extend(f)
+    return b"\0" + wide.tobytes()
 
 
 def _memo_on_shape(raw):
-    """Memoize raw(K, flag, *args) on `_shape(K)` and the hashable extra
-    arguments; a hit sets the flag as raw did.
+    """Memoize raw(K, flag, *args) on `_shape(K)`, K's renumbered facets
+    packed into bytes (not hashed), and the hashable extra arguments; a hit
+    sets the flag as raw did.
 
     Precondition, which makes the key exact.  The renumbering keeps the vertex
     order, so sorts, min(K.facets), the collapse queue and the homology

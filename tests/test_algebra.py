@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from stratabord import algebra
 from stratabord.algebra import (
     GF,
     QQ,
@@ -17,6 +18,7 @@ from stratabord.algebra import (
     SparseMatrix,
     ZZ,
     _eliminate,
+    _reduce,
     boundary_matrix,
     homology,
     homology_of_chain_complex,
@@ -30,6 +32,13 @@ from stratabord.algebra import (
 from stratabord.bordism import bordism_to_intrinsic
 from stratabord.complexes import build_complex, suspension
 from stratabord.errors import UnsupportedCoefficients
+from stratabord.ih import (
+    allowable_simplices,
+    ensure_full,
+    intersection_homology,
+    lower_middle,
+    upper_middle,
+)
 from test_properties import small_complexes
 
 
@@ -483,6 +492,69 @@ def test_clearing_keeps_homology_on_small_complexes(K):
     _assert_clearing_keeps_homology(K)
 
 
+# ---------------------------------------------------------------------------
+# Boundaries go to the kernel as generated entries; the matrix route is the
+# oracle
+
+
+def allowable_homology_via_matrices(K, cells, ring):
+    """`homology_of_allowable_chains` with each ∂_i built as a `SparseMatrix`
+    by `boundary_matrix` and handed to `_eliminate` as M.entries.items()."""
+
+    def boundary(i, drop):
+        good = set(cells[i - 1])
+        rows = cells[i - 1] + [s for s in K.faces_of_dim(i - 1) if s not in good]
+        cols = [s for j, s in enumerate(cells[i]) if j not in drop]
+        M = boundary_matrix(K, i, cols, rows)
+        return M.nrows, M.ncols, M.entries.items(), frozenset(range(len(good), len(rows)))
+
+    return _reduce([len(c) for c in cells], boundary, ring)
+
+
+def _every_face(K):
+    return [K.faces_of_dim(i) for i in range(K.dim + 1)]
+
+
+def test_homology_matches_the_matrix_route(entries, sigma_t2_carriers):
+    for K in [e.complex for e in entries.values()] + [FY.complex for FY in sigma_t2_carriers]:
+        for ring in CLEARING_RINGS:
+            want = allowable_homology_via_matrices(K, _every_face(K), ring)
+            assert homology(K, ring) == want, ring
+
+
+def test_intersection_homology_matches_the_matrix_route(entries, sigma_t2_carriers):
+    spaces = [FX for e in entries.values() for FX in e.stratifications] + sigma_t2_carriers
+    for FX in spaces:
+        n = max(FX.dim, 2)
+        full = ensure_full(FX)
+        for p in (lower_middle(n), upper_middle(n)):
+            cells = allowable_simplices(full, p)
+            for ring in CLEARING_RINGS:
+                want = allowable_homology_via_matrices(full.complex, cells, ring)
+                assert intersection_homology(FX, p, ring) == want, (p.name, ring)
+
+
+def test_homology_builds_no_boundary_matrix(entries, sigma_t2_carriers, monkeypatch):
+    spaces = [entries["RP3"].stratifications[0], entries["Sigma-RP3"].stratifications[0]]
+    spaces.append(sigma_t2_carriers[0])
+    want = []
+    for FX in spaces:
+        full = ensure_full(FX)
+        cells = allowable_simplices(full, lower_middle(FX.dim))
+        want.append((
+            allowable_homology_via_matrices(FX.complex, _every_face(FX.complex), ZZ),
+            allowable_homology_via_matrices(full.complex, cells, ZZ),
+        ))
+
+    def refuse(*args):
+        raise AssertionError("a boundary matrix was built")
+
+    monkeypatch.setattr(algebra, "boundary_matrix", refuse)
+    for FX, (plain, middle) in zip(spaces, want):
+        assert homology(FX.complex, ZZ) == plain
+        assert intersection_homology(FX, lower_middle(FX.dim), ZZ) == middle
+
+
 def test_residual_pivot_row_is_not_cleared():
     # ℤz → ℤa ⊕ ℤb → ℤx with ∂z = 2a + 3b, ∂a = 3x, ∂b = −2x.  ∂₂ has no
     # unit entry, so its pivot comes from the Smith residual; dropping its
@@ -490,7 +562,7 @@ def test_residual_pivot_row_is_not_cleared():
     d2 = SparseMatrix(2, 1, {(0, 0): 2, (1, 0): 3})
     d1 = SparseMatrix(1, 2, {(0, 0): 3, (0, 1): -2})
     assert not d1.times(d2).entries
-    assert _eliminate(d2).unit_rows == []
+    assert _eliminate(d2.nrows, d2.ncols, d2.entries.items()).unit_rows == []
     for ring in CLEARING_RINGS:
         assert homology_of_chain_complex([1, 2, 1], [None, d1, d2], ring) == [
             HomologyGroup(0)
@@ -514,7 +586,7 @@ def test_rows_pivoted_first_report_their_own_rank():
     # unit pivot of row 1, and row 0's rank comes from the residual.  Row 1
     # vanishes on ker(row 0), so it adds no factor: rank M = 0 + 1.
     M = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 2, (1, 0): 1, (1, 1): 1})
-    red = _eliminate(M, first=frozenset({0}))
+    red = _eliminate(M.nrows, M.ncols, M.entries.items(), first=frozenset({0}))
     assert (len(red.diag), red.first_rank, red.unit_rows) == (0, 1, [])
 
 
@@ -528,7 +600,7 @@ def test_rows_pivoted_first_randomized():
         M = unit_two_matrix(rng, m, n)
         first = frozenset(r for r in range(m) if rng.random() < 0.5)
         for ring in (QQ, GF(2), GF(3)):
-            red = _eliminate(M, ring.p, first=first)
+            red = _eliminate(M.nrows, M.ncols, M.entries.items(), ring.p, first=first)
             assert len(red.diag) + red.first_rank == rank_over(M, ring)
             assert red.first_rank == _rank_of_rows(M, first, ring)
             if ring.p:
@@ -536,7 +608,7 @@ def test_rows_pivoted_first_randomized():
             else:
                 from_residual += red.first_rank > sum(r in first for r in red.unit_rows)
         # Without rows pivoted first the kernel is unchanged.
-        assert _eliminate(M).diag == invariant_factors(M)
+        assert _eliminate(M.nrows, M.ncols, M.entries.items()).diag == invariant_factors(M)
     assert from_residual >= 20
 
 
@@ -556,7 +628,7 @@ def test_rows_pivoted_first_give_the_factors_on_their_kernel():
         })
         first = frozenset(r for r in range(m) if rng.random() < 0.5)
         N, G = _rows(M, first), _rows(M, set(range(m)) - first)
-        red = _eliminate(M, first=first)
+        red = _eliminate(M.nrows, M.ncols, M.entries.items(), first=first)
         assert red.diag == invariant_factors(G.times(kernel_basis(N)))
         assert red.first_rank == rank_over(N, ZZ)
         assert len(red.diag) + red.first_rank == rank_over(M, ZZ)

@@ -7,16 +7,25 @@ the circle-product law).
 
 import itertools
 import random
+import sys
+from array import array
 from collections import deque
 from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import cones_with_boundary, dunce_hat, record_raw_calls, subdivide_filtered
+from conftest import (
+    cones_with_boundary,
+    dunce_hat,
+    empty_memo,
+    record_raw_calls,
+    subdivide_filtered,
+)
 from stratabord import catalog, strat
 from stratabord.algebra import QQ, ZZ, HomologyGroup, homology
-from stratabord.bordism import bordism_to_intrinsic, cylinder
+from stratabord.bordism import bordism_to_intrinsic, cylinder, verify_certificate
+from stratabord.classes import _middle_ih
 from stratabord.complexes import (
     SimplicialComplex,
     boundary_subcomplex,
@@ -710,6 +719,75 @@ def test_shapes_tell_apart_complexes_on_one_vertex_set(pair):
     assert (strat._shape(K1) == strat._shape(K2)) == (K1.facets == K2.facets)
     if not isomorphic(K1, K2):
         assert strat._shape(K1) != strat._shape(K2)
+
+
+def _read_shape(key):
+    """The renumbered facets that a `strat._shape` key packs."""
+    if not key.startswith(b"\0"):
+        return {tuple(f) for f in key.split(b"\0")} if key else set()
+    wide, facets, i = array("I", key[1:]), set(), 0
+    while i < len(wide):
+        facets.add(tuple(wide[i + 1 : i + 1 + wide[i]]))
+        i += 1 + wide[i]
+    return facets
+
+
+def _renumbered(K):
+    """The facets renumbered 1, 2, 3, … in vertex order, unpacked."""
+    rank = {v: i + 1 for i, v in enumerate(K.vertices)}
+    return {tuple(rank[v] for v in f) for f in K.facets}
+
+
+@given(complexes_on_one_vertex_set())
+@settings(max_examples=100, deadline=None)
+def test_a_narrow_shape_reads_back_into_the_facets(pair):
+    for K in pair:
+        key = strat._shape(K)
+        assert not key.startswith(b"\0") and _read_shape(key) == _renumbered(K)
+
+
+def test_shapes_of_catalog_links_read_back_into_the_facets(entries):
+    for entry in entries.values():
+        for L in _distinct_links(entry.complex, entry.complex.faces):
+            assert _read_shape(strat._shape(L)) == _renumbered(L)
+
+
+def _cycle(n):
+    return build_complex([(i, (i + 1) % n) for i in range(n)])
+
+
+def test_shapes_are_exact_on_both_sides_of_the_wide_form():
+    # A narrow key writes a vertex in one byte, 1 to 254; from 255 vertices
+    # on the key is wide.  An octahedral sphere on n vertices has 2^(n/2)
+    # facets, so the spheres here are the octahedron joined with a cycle.
+    keys = {}
+    for n in (254, 255, 256, 300):
+        for name, K in (("cycle", _cycle(n)), ("sphere", join(octahedral_sphere(3), _cycle(n - 6)))):
+            assert len(K.vertices) == n
+            key = strat._shape(K)
+            assert key.startswith(b"\0") == (n >= 255)  # no narrow key is a wide one
+            assert _read_shape(key) == _renumbered(K)
+            assert strat._shape(K.relabel({v: 3 * v + 1000 for v in K.vertices})) == key
+            keys[name, n] = key
+    # Without vertices the key is wide too, so the empty simplex alone is
+    # told apart from the empty complex.
+    for name, K in (("empty", build_complex([])), ("empty simplex", build_complex([()]))):
+        keys[name, 0] = strat._shape(K)
+        assert keys[name, 0].startswith(b"\0") and _read_shape(keys[name, 0]) == set(K.facets)
+    assert len(set(keys.values())) == len(keys)
+
+
+def test_memo_keys_stay_small_after_a_cold_verification(entries, monkeypatch):
+    # Packed, the 83 keys take about 14 KB; as frozensets of renumbered
+    # facet tuples they would take about 200 KB.
+    cert = bordism_to_intrinsic(entries["Sigma-T2"].stratifications[0])
+    routines = (sphere_like, ball_like, complex_invariant, _middle_ih)
+    for routine in routines:
+        empty_memo(monkeypatch, routine)
+    assert verify_certificate(cert).passed
+    keys = [key for routine in routines for key in routine.memo]
+    assert keys and all(isinstance(key[0], bytes) for key in keys)
+    assert sum(sys.getsizeof(key) + sys.getsizeof(key[0]) for key in keys) <= 64 * 1024
 
 
 def test_the_empty_complex_gets_the_raw_answers():
